@@ -12,7 +12,6 @@ from .errors import (
     DomainError,
     NumericalError,
     PoleError,
-    QuadratureError,
     SingularSystemError,
     ValidationError,
 )
@@ -26,8 +25,8 @@ from .mc import (
     exchange_paths,
     simulate,
 )
-from .params import Grid, ModelParams, RngStream, rho, uniform_grid, validate
-from .specfun import kummer_1f1, sinh_over_cosh_scaled, tanh_ratio
+from .params import ModelParams, RngStream, uniform_grid, validate
+from .specfun import kummer_1f1
 from .spectral import (
     FeasibilityReport,
     Spectrum,
@@ -38,7 +37,6 @@ from .spectral import (
     regime_threshold,
     relaxation_time,
     soft_attractive_spectrum,
-    solve_eigenvalue,
     spread_coefficient,
 )
 from .stationary import (
@@ -68,12 +66,10 @@ __all__ = [
     "DensityEstimate",
     "DomainError",
     "FeasibilityReport",
-    "Grid",
     "ModelParams",
     "NumericalError",
     "PathEnsemble",
     "PoleError",
-    "QuadratureError",
     "RngStream",
     "SimConfig",
     "SingularSystemError",
@@ -102,16 +98,12 @@ __all__ = [
     "regime_scan",
     "regime_threshold",
     "relaxation_time",
-    "rho",
     "simulate",
-    "sinh_over_cosh_scaled",
     "soft_attractive_spectrum",
-    "solve_eigenvalue",
     "solve_smooth_pasting",
     "spread_coefficient",
     "stationary_ode_residual",
     "surface",
-    "tanh_ratio",
     "uniform_grid",
     "validate",
 ]

@@ -48,7 +48,7 @@ _SCENARIO_KEYS = {
     "model": {"alpha", "beta", "sigma", "f_bar", "horizon_T", "r_share"},
     "spectral": {"K"},
     "stationary": {"beta_values", "n_points"},
-    "transient": {"mode", "K", "n_times", "n_points"},
+    "transient": {"K", "n_times", "n_points"},
     "sim": {"n_paths", "dt", "drift_mode", "intervention", "kappa", "seed"},
     "density": {"target", "n_bins", "range", "t_window"},
     "honeymoon": {"F", "omega"},
@@ -58,7 +58,6 @@ _SCENARIO_KEYS = {
 
 _DEFAULTS = {
     "spectral_K": 50,
-    "transient_mode": "exact_projection",
     "n_bins": 61,
     "kappa": 0.9,
 }
@@ -181,7 +180,7 @@ def cmd_stationary(scn: dict, fmt: str, threads: int, seed: int | None) -> str:
     for b in betas:
         p = dataclasses.replace(params, beta=b)
         sol = solve_smooth_pasting(p)
-        grid = uniform_grid(p, n).points
+        grid = uniform_grid(p, n)
         xs = eval_stationary(sol, grid)
         rows.extend((b, f, x) for f, x in zip(grid, xs))
     if fmt == "json":
@@ -194,18 +193,17 @@ def cmd_stationary(scn: dict, fmt: str, threads: int, seed: int | None) -> str:
 def cmd_transient(scn: dict, fmt: str, threads: int, seed: int | None) -> str:
     params = _model(scn)
     tct = scn.get("transient", {})
-    mode = str(tct.get("mode", _DEFAULTS["transient_mode"]))
     K = int(tct.get("K", _DEFAULTS["spectral_K"]))
     n_times = int(tct.get("n_times", 25))
     n_points = int(tct.get("n_points", 101))
-    ts = build_transient(params, K=K, mode=mode)
+    ts = build_transient(params, K=K)
     t_grid = np.linspace(0.0, params.horizon_T, n_times)
     f_grid = uniform_grid(params, n_points)
     mat = surface(ts, t_grid, f_grid)
     rows = [
         (t, f, mat[i, j])
         for i, t in enumerate(t_grid)
-        for j, f in enumerate(f_grid.points)
+        for j, f in enumerate(f_grid)
     ]
     if fmt == "json":
         return _json_text({"rows": [dict(zip(("t", "f", "x"), r)) for r in rows]})
@@ -280,8 +278,7 @@ def _density_values(scn: dict, params: ModelParams, cfg: SimConfig, threads: int
     ens = simulate(cfg, threads=threads)
     if target == "exchange":
         K = int(scn.get("transient", {}).get("K", _DEFAULTS["spectral_K"]))
-        mode = str(scn.get("transient", {}).get("mode", _DEFAULTS["transient_mode"]))
-        ts = build_transient(params, K=K, mode=mode)
+        ts = build_transient(params, K=K)
         mat = exchange_paths(ens, ts)
     else:
         mat = ens.fundamentals
@@ -348,7 +345,7 @@ def cmd_ou(scn: dict, fmt: str, threads: int, seed: int | None) -> str:
     K = int(oct_.get("K", 10))
     n = int(oct_.get("n_points", 201))
     sol = ou_stationary(lam, mu, params)
-    grid = uniform_grid(params, n).points
+    grid = uniform_grid(params, n)
     xs = eval_stationary(sol, grid)
     spec = ou_asymptotic_spectrum(lam, mu, params, K)
     payload = {

@@ -32,7 +32,3 @@ class BracketError(NumericalError):
 
 class SingularSystemError(NumericalError):
     """A linear system is singular to working precision."""
-
-
-class QuadratureError(NumericalError):
-    """Adaptive quadrature failed to reach the requested tolerance."""

@@ -12,10 +12,13 @@ overshoot back inside, iterating the reflection when a single fold does
 not suffice.  The trigger radius is kappa * f_bar: kappa = 1 is marginal
 intervention at the band edge, kappa < 1 intervenes intramarginally.
 
-The drift comes in the two equivalent representations of the
-mean-preserving-spread force: "bernoulli" draws a single +-1 sign per
-path at t = 0 and uses the constant drift beta * sign, "tanh" uses the
-state-dependent beta * tanh(beta * f).  Bernoulli is the natural choice
+The drift comes in two representations of the mean-preserving-spread
+force: "bernoulli" draws a single +-1 sign per path at t = 0 and uses the
+constant drift beta * sign, "tanh" uses the state-dependent
+beta * tanh(beta * f).  They are not equivalent in general: the Markov
+projection of the Bernoulli drift is E[beta B | f] = beta tanh(beta f /
+sigma^2), which matches the tanh drift only at sigma = 1.  Bernoulli is
+the natural choice
 against the free-space two-Gaussian-mixture oracle, tanh against the
 closed-form reflected stationary density cosh(beta f)^(2/sigma^2).
 

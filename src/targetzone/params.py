@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["ModelParams", "Grid", "RngStream", "validate", "rho", "uniform_grid"]
+__all__ = ["ModelParams", "RngStream", "validate", "uniform_grid"]
 
 
 @dataclass(frozen=True)
@@ -68,28 +68,11 @@ def validate(params: ModelParams) -> ModelParams:
     return params
 
 
-def rho(params: ModelParams) -> float:
-    """beta^2/2 + alpha, the decay frequency entering every time constant."""
-    return params.rho()
-
-
-@dataclass(frozen=True, eq=False)
-class Grid:
-    """Uniform grid of fundamental values spanning the band exactly."""
-
-    points: np.ndarray
-    spacing: float
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-def uniform_grid(params: ModelParams, n_points: int) -> Grid:
+def uniform_grid(params: ModelParams, n_points: int) -> np.ndarray:
     """Uniform grid with endpoints exactly at -f_bar and +f_bar."""
     if n_points < 2:
         raise DomainError("grid needs at least 2 points")
-    pts = np.linspace(-params.f_bar, params.f_bar, n_points)
-    return Grid(points=pts, spacing=float(pts[1] - pts[0]))
+    return np.linspace(-params.f_bar, params.f_bar, n_points)
 
 
 @dataclass(frozen=True)
@@ -107,7 +90,3 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         return np.random.default_rng(ss)
-
-    def normals(self, n: int) -> np.ndarray:
-        """First ``n`` standard-normal draws of this stream."""
-        return self.generator().standard_normal(n)

@@ -1,8 +1,7 @@
 """Numerically robust special functions needed by the solvers.
 
-Only what the mean-reverting and honeymoon closed forms require: the
-confluent hypergeometric function 1F1 (Kummer's M) and overflow-safe
-hyperbolic ratios.  All functions are pure.
+Only what the mean-reverting closed form requires: the confluent
+hypergeometric function 1F1 (Kummer's M).  All functions are pure.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
-__all__ = ["kummer_1f1", "tanh_ratio", "sinh_over_cosh_scaled"]
+__all__ = ["kummer_1f1"]
 
 _MAX_TERMS = 10_000
 _REL_STOP = 1e-16
@@ -72,41 +71,3 @@ def kummer_1f1(a: float, b: float, x: float) -> float:
     if amp * 2.3e-16 > 1e-12:
         total, _ = _taylor_sum(a, b, x, dtype=np.longdouble)
     return total
-
-
-def kummer_1f1_prime(a: float, b: float, x: float) -> float:
-    """d/dx 1F1(a, b; x) = (a/b) 1F1(a+1, b+1; x)."""
-    return (a / b) * kummer_1f1(a + 1.0, b + 1.0, x)
-
-
-def tanh_ratio(beta: float, f) -> float | np.ndarray:
-    """tanh(beta * f), exact to machine precision including saturation.
-
-    np.tanh already returns +/-1.0 for |argument| beyond ~19, so huge
-    beta*f products never overflow.
-    """
-    return np.tanh(beta * np.asarray(f)) if np.ndim(f) else math.tanh(beta * f)
-
-
-def sinh_over_cosh_scaled(rho: float, beta: float, f: float) -> float:
-    """sinh(rho*f) / cosh(beta*f) without intermediate overflow.
-
-    Evaluated as sign(rho*f) * exp(|rho*f| - |beta*f|) * (1 - e^{-2|rho f|})
-    / (1 + e^{-2|beta f|}); finite whenever the true ratio fits the
-    floating range, else raises OverflowError.
-    """
-    s = rho * f
-    c = beta * f
-    if s == 0.0:
-        return 0.0
-    log_mag = (
-        abs(s)
-        - abs(c)
-        + math.log1p(-math.exp(-2.0 * abs(s)))
-        - math.log1p(math.exp(-2.0 * abs(c)))
-    )
-    if log_mag > math.log(1.7976931348623157e308):
-        raise OverflowError(
-            f"sinh({rho}*{f})/cosh({beta}*{f}) exceeds the floating range"
-        )
-    return math.copysign(math.exp(log_mag), s)

@@ -39,7 +39,6 @@ __all__ = [
     "Spectrum",
     "FeasibilityReport",
     "eigen_residual",
-    "solve_eigenvalue",
     "build_spectrum",
     "relaxation_time",
     "regime_threshold",
@@ -48,7 +47,10 @@ __all__ = [
     "ou_asymptotic_spectrum",
 ]
 
-_U_TOL = 1e-12  # |u*cot(u) - c| at every accepted root
+# Root search stops at |u*cot(u) - c| <= _U_TOL or at a bracket ~4 ulp
+# wide, whichever comes first.  High modes end on the width rule with a
+# residual near ulp(u) * |slope| (about 2e-10 at K = 240), not 1e-12.
+_U_TOL = 1e-12
 
 
 def spread_coefficient(params: ModelParams) -> float:
@@ -133,24 +135,6 @@ def _bracket_for_root(k: int, c: float) -> tuple[float, float]:
         lo = m * math.pi * (1.0 + 1e-13) + 1e-300
     hi = m * math.pi + 0.5 * math.pi * (1.0 + 1e-9)
     return lo, hi
-
-
-def solve_eigenvalue(k: int, params: ModelParams) -> float:
-    """k-th eigenvalue Omega_k (k >= 1) of the transcendental equation.
-
-    Bisection inside the analytic u-bracket, refined with safeguarded
-    Newton steps until |u cot(u) - c| < 1e-12, then mapped back through
-    Omega = sigma * u / (sqrt(2) * f_bar).
-    """
-    validate(params)
-    if k < 1:
-        raise DomainError("eigenvalue index k must be >= 1")
-    c = spread_coefficient(params)
-    lo, hi = _bracket_for_root(k, c)
-    g = lambda u: _u_cot_u(u) - c
-    dg = lambda u: math.cos(u) / math.sin(u) - u / math.sin(u) ** 2
-    u = bisect_newton(g, lo, hi, dfunc=dg, ftol=_U_TOL)
-    return params.sigma * u / (math.sqrt(2.0) * params.f_bar)
 
 
 def build_spectrum(params: ModelParams, K: int) -> Spectrum:

@@ -121,6 +121,38 @@ def _anchored_terms(sol: StationarySolution, arr: np.ndarray):
     return e_plus, e_minus, r
 
 
+def _sine_moments(sol: StationarySolution, u: np.ndarray) -> np.ndarray:
+    """Integrals of X_S(f) cosh(beta f) sin(u f / f_bar) over the band.
+
+    X_S cosh(beta f) is a sum of exponentials, so each moment is
+    elementary.  With k = u / f_bar the homogeneous pair integrates in
+    anchored form with E = e^{-2 r f_bar} <= 1; the particular part uses
+    J_s = int sinh(beta f) sin(k f) df and its beta-derivative
+    J_c = int f cosh(beta f) sin(k f) df.  Symmetric band only.
+    """
+    p = sol.params
+    if sol.kind != "dmps":
+        raise DomainError("sine moments need the dmps stationary solution")
+    if (sol.f_low, sol.f_high) != (-p.f_bar, p.f_bar):
+        raise DomainError("sine moments need the symmetric band (-f_bar, f_bar)")
+    fb, b = p.f_bar, p.beta
+    r = _growth_rate(p)
+    d = _forcing_scale(p)
+    k = u / fb
+    s, c = np.sin(u), np.cos(u)
+    e = math.exp(-2.0 * r * fb)
+    homog = (sol.a_anchor - sol.b_anchor) * (
+        (r * s * (1.0 + e) - k * c * (1.0 - e)) / (r * r + k * k)
+    )
+    ch, sh = math.cosh(b * fb), math.sinh(b * fb)
+    q = b * b + k * k
+    n = 2.0 * (b * s * ch - k * c * sh)
+    dn = 2.0 * (s * ch + b * fb * s * sh - k * fb * c * ch)
+    j_s = n / q
+    j_c = dn / q - 2.0 * b * n / (q * q)
+    return homog + (2.0 * p.alpha / d**2) * (d * j_c + 2.0 * b * p.sigma**2 * j_s)
+
+
 def solve_smooth_pasting(
     params: ModelParams, band: tuple[float, float] | None = None
 ) -> StationarySolution:

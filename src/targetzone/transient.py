@@ -6,19 +6,14 @@ part decays mode by mode:
     X*(tau, f) = (1 / cosh(beta f)) * sum_k c_k
                  * exp[-(Omega_k^2 + rho) tau] * sin(sqrt(2) Omega_k f / sigma).
 
-Two coefficient conventions ship:
+The coefficients are the orthogonal projection
 
-* ``plain_sine``:    c_k = -(1/f_bar) * integral of X_S(f) sin(...) df.
-* ``exact_projection``: c_k = -<X_S cosh(beta f), psi_k> / <psi_k, psi_k>,
-  the orthogonal projection in the plain L2 inner product under which the
-  Robin-condition sine modes are orthogonal.
+    c_k = -<X_S cosh(beta f), psi_k> / <psi_k, psi_k>,   psi_k = sin(u_k f / f_bar),
 
-The projection form makes the terminal condition X*(0, f) = -X_S(f) hold
-exactly in the K -> infinity limit, so X(T, f) -> 0 (terminal parity);
-it is the default.  The plain form coincides with it in the Gaussian
-limit (where cosh = 1 and every mode norm equals f_bar) but misses the
-terminal condition at beta > 0; it ships as the simpler convention for
-side-by-side comparison.
+in the plain L2 inner product under which the Robin-condition sine modes
+are orthogonal.  It makes the terminal condition X*(0, f) = -X_S(f) hold
+exactly in the K -> infinity limit, so X(T, f) -> 0 (terminal parity).
+Both inner products are elementary and evaluated in closed form.
 """
 
 from __future__ import annotations
@@ -29,10 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .params import Grid, ModelParams
-from .quadrature import adaptive_gauss_legendre
+from .params import ModelParams
 from .spectral import Spectrum, build_spectrum
-from .stationary import StationarySolution, eval_stationary, solve_smooth_pasting
+from .stationary import (
+    StationarySolution,
+    _sine_moments,
+    eval_stationary,
+    solve_smooth_pasting,
+)
 
 __all__ = [
     "TransientSolution",
@@ -44,8 +43,6 @@ __all__ = [
     "mode_norm",
 ]
 
-MODES = ("plain_sine", "exact_projection")
-
 
 @dataclass(frozen=True, eq=False)
 class TransientSolution:
@@ -54,7 +51,6 @@ class TransientSolution:
     spectrum: Spectrum
     coeffs: np.ndarray
     stationary: StationarySolution
-    mode: str
     truncation_K: int
 
     def decay_rates(self) -> np.ndarray:
@@ -67,57 +63,29 @@ def _u_values(spectrum: Spectrum) -> np.ndarray:
     return math.sqrt(2.0) * spectrum.eigenvalues * p.f_bar / p.sigma
 
 
-def mode_norm(u: float, f_bar: float) -> float:
+def mode_norm(u, f_bar: float):
     """Closed-form L2 norm: integral of sin(u f / f_bar)^2 over the band."""
-    return f_bar * (1.0 - math.sin(2.0 * u) / (2.0 * u))
+    return f_bar * (1.0 - np.sin(2.0 * u) / (2.0 * u))
 
 
-def fourier_coeffs(
-    sol: StationarySolution, spectrum: Spectrum, mode: str = "exact_projection"
-) -> np.ndarray:
-    """Expansion coefficients of -X_S over the sine eigenmodes.
+def fourier_coeffs(sol: StationarySolution, spectrum: Spectrum) -> np.ndarray:
+    """Expansion coefficients of -X_S over the sine eigenmodes, all K at once.
 
-    Integrals use adaptive 61-point Gauss-Legendre panels, seeded
-    proportionally to the mode oscillation count and split until the
-    composite estimate settles to 1e-12.
+    Needs the dmps stationary solution on the symmetric band; any other
+    solution raises :class:`DomainError`.
     """
-    if mode not in MODES:
-        raise DomainError(f"unknown coefficient mode {mode!r}")
     if sol.params is not spectrum.params and sol.params != spectrum.params:
         raise DomainError("stationary solution and spectrum must share params")
-    p = spectrum.params
-    fb = p.f_bar
     us = _u_values(spectrum)
-    coeffs = np.empty(len(us))
-    for i, u in enumerate(us):
-        panels = max(4, int(math.ceil(u / math.pi)))
-        if mode == "plain_sine":
-            integrand = lambda f: eval_stationary(sol, f) * np.sin(u * f / fb)
-            integral = adaptive_gauss_legendre(
-                integrand, -fb, fb, tol=1e-12, initial_panels=panels
-            )
-            coeffs[i] = -integral / fb
-        else:
-            integrand = lambda f: (
-                eval_stationary(sol, f) * np.cosh(p.beta * f) * np.sin(u * f / fb)
-            )
-            integral = adaptive_gauss_legendre(
-                integrand, -fb, fb, tol=1e-12, initial_panels=panels
-            )
-            coeffs[i] = -integral / mode_norm(u, fb)
-    return coeffs
+    return -_sine_moments(sol, us) / mode_norm(us, spectrum.params.f_bar)
 
 
-def build_transient(
-    params: ModelParams, K: int = 50, mode: str = "exact_projection"
-) -> TransientSolution:
+def build_transient(params: ModelParams, K: int = 50) -> TransientSolution:
     """Spectrum + smooth-pasted stationary + coefficients in one call."""
     spectrum = build_spectrum(params, K)
     sol = solve_smooth_pasting(params)
-    coeffs = fourier_coeffs(sol, spectrum, mode)
-    return TransientSolution(
-        spectrum=spectrum, coeffs=coeffs, stationary=sol, mode=mode, truncation_K=K
-    )
+    coeffs = fourier_coeffs(sol, spectrum)
+    return TransientSolution(spectrum=spectrum, coeffs=coeffs, stationary=sol, truncation_K=K)
 
 
 def eval_transient(ts: TransientSolution, t: float, f):
@@ -141,9 +109,9 @@ def eval_full(ts: TransientSolution, t: float, f):
     return eval_transient(ts, t, f) + eval_stationary(ts.stationary, f)
 
 
-def surface(ts: TransientSolution, t_grid, f_grid: Grid) -> np.ndarray:
+def surface(ts: TransientSolution, t_grid, f_grid) -> np.ndarray:
     """Matrix X(t_i, f_j), row-major by time."""
-    f = np.asarray(f_grid.points if isinstance(f_grid, Grid) else f_grid, dtype=float)
+    f = np.asarray(f_grid, dtype=float)
     ts_arr = np.asarray(t_grid, dtype=float)
     base = eval_stationary(ts.stationary, f)
     out = np.empty((len(ts_arr), len(f)))

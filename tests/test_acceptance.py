@@ -198,7 +198,7 @@ def test_criterion_06_terminal_parity():
     details = []
     for beta in (0.0, 1.0, 5.0):
         p = ModelParams(alpha=0.8, beta=beta, sigma=1.0, f_bar=0.1, horizon_T=3.0)
-        ts = build_transient(p, K=200, mode="exact_projection")
+        ts = build_transient(p, K=200)
         errors = []
         for K in (25, 50, 100, 200):
             spec = dataclasses.replace(

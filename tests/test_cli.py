@@ -36,6 +36,13 @@ def test_unknown_scenario_key_rejected(tmp_path):
         load_scenario(path)
 
 
+def test_transient_mode_key_rejected(tmp_path):
+    path = write_scenario(
+        tmp_path, "mode.json", {"model": {"alpha": 0.8}, "transient": {"mode": "exact_projection"}}
+    )
+    assert main(["transient", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+
+
 def test_missing_model_rejected(tmp_path):
     path = write_scenario(tmp_path, "bad.json", {"spectral": {"K": 5}})
     with pytest.raises(ValidationError, match="model"):

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from targetzone import DomainError, kummer_1f1, sinh_over_cosh_scaled, tanh_ratio
+from targetzone import DomainError, kummer_1f1
 
 mpmath.mp.dps = 50
 
@@ -95,41 +95,6 @@ def test_1f1_contiguous_relation():
         assert abs(lhs) / scale < 1e-8
 
 
-def test_tanh_ratio_basics():
-    assert tanh_ratio(3.0, 0.0) == 0.0
-    assert tanh_ratio(15.0, 0.1) == pytest.approx(math.tanh(1.5), abs=0)
-    assert tanh_ratio(1000.0, 1.0) == 1.0
-
-
-def test_tanh_ratio_odd_and_monotone():
-    fs = np.linspace(-3.0, 3.0, 301)
-    vals = tanh_ratio(2.5, fs)
-    assert np.allclose(vals, -tanh_ratio(2.5, -fs), atol=0)
-    assert np.all(np.diff(vals) > 0)
-
-
-def test_sinh_over_cosh_at_zero():
-    assert sinh_over_cosh_scaled(2.0, 1.0, 0.0) == 0.0
-
-
-def test_sinh_over_cosh_reduces_to_tanh_when_rates_match():
-    for f in (-2.0, -0.3, 0.5, 4.0):
-        got = sinh_over_cosh_scaled(3.0, 3.0, f)
-        assert got == pytest.approx(math.tanh(3.0 * f), rel=1e-14)
-
-
-def test_sinh_over_cosh_large_arguments_against_oracle():
-    for rho, beta, f in [(30.0, 20.0, 10.0), (30.0, 20.0, -10.0), (5.0, 50.0, 30.0)]:
-        ref = float(mpmath.sinh(mpmath.mpf(rho) * f) / mpmath.cosh(mpmath.mpf(beta) * f))
-        assert sinh_over_cosh_scaled(rho, beta, f) == pytest.approx(ref, rel=1e-13)
-
-
-def test_sinh_over_cosh_overflow_is_reported():
-    with pytest.raises(OverflowError):
-        sinh_over_cosh_scaled(30.0, 20.0, 100.0)
-
-
 def test_specfun_is_pure():
     args = (0.7, 1.9, 13.5)
     assert kummer_1f1(*args) == kummer_1f1(*args)
-    assert sinh_over_cosh_scaled(3.0, 2.0, 1.5) == sinh_over_cosh_scaled(3.0, 2.0, 1.5)

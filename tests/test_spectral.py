@@ -14,7 +14,6 @@ from targetzone import (
     regime_threshold,
     relaxation_time,
     soft_attractive_spectrum,
-    solve_eigenvalue,
     spread_coefficient,
 )
 
@@ -48,7 +47,7 @@ def test_first_root_matches_brute_bisection():
     c = spread_coefficient(REF)
     assert c == pytest.approx(0.1 * math.tanh(0.1), rel=1e-15)
     u_star = brute_root(c, 1e-9, math.pi - 1e-9)
-    omega = solve_eigenvalue(1, REF)
+    omega = build_spectrum(REF, 1).eigenvalues[0]
     assert omega == pytest.approx(u_star / (math.sqrt(2.0) * 0.1), rel=1e-10)
     assert u_star < math.pi / 2
 
@@ -58,7 +57,7 @@ def test_large_risk_moves_first_root_to_next_bracket():
     c = spread_coefficient(p)
     assert c == pytest.approx(5.0 * math.tanh(5.0), rel=1e-15)
     assert c > 1.0
-    u = math.sqrt(2.0) * solve_eigenvalue(1, p) * p.f_bar / p.sigma
+    u = math.sqrt(2.0) * build_spectrum(p, 1).eigenvalues[0] * p.f_bar / p.sigma
     assert math.pi < u < 1.5 * math.pi
 
 
@@ -70,7 +69,7 @@ def test_eigen_residual_vanishes_at_gaussian_roots():
 
 
 def test_eigen_residual_self_consistency():
-    omega = solve_eigenvalue(1, REF)
+    omega = build_spectrum(REF, 1).eigenvalues[0]
     assert abs(eigen_residual(omega, REF)) < 1e-10
 
 
@@ -120,10 +119,10 @@ def test_band_scaling_at_fixed_spread_coefficient():
 
 
 def test_gaussian_limit_convergence_is_quadratic():
-    base = solve_eigenvalue(1, ModelParams(alpha=0.8, beta=0.0, sigma=1.0, f_bar=0.1))
+    base = build_spectrum(ModelParams(alpha=0.8, beta=0.0, sigma=1.0, f_bar=0.1), 1).eigenvalues[0]
     deltas = {}
     for beta in (0.0025, 0.005, 0.01):
-        om = solve_eigenvalue(1, ModelParams(alpha=0.8, beta=beta, sigma=1.0, f_bar=0.1))
+        om = build_spectrum(ModelParams(alpha=0.8, beta=beta, sigma=1.0, f_bar=0.1), 1).eigenvalues[0]
         deltas[beta] = abs(om - base)
     C = deltas[0.005] / 0.005**2
     predicted = C * 0.01**2

@@ -29,7 +29,7 @@ def closed_form_gaussian(p, f):
 def test_ode_residual_on_grid(beta):
     p = FIG_PARAMS[beta]
     sol = solve_smooth_pasting(p)
-    grid = uniform_grid(p, 200).points
+    grid = uniform_grid(p, 200)
     assert np.abs(stationary_ode_residual(sol, grid)).max() < 1e-7
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,11 +14,13 @@ from targetzone import (
     eval_stationary,
     eval_transient,
     fourier_coeffs,
+    gaussian_stationary,
+    ou_stationary,
+    regime_threshold,
     solve_smooth_pasting,
     surface,
     uniform_grid,
 )
-from targetzone.quadrature import adaptive_gauss_legendre
 
 REF = ModelParams(alpha=0.8, beta=1.0, sigma=1.0, f_bar=0.1, horizon_T=3.0)
 
@@ -32,13 +35,92 @@ def truncate(ts, K):
     return dataclasses.replace(ts, spectrum=spec, coeffs=ts.coeffs[:K], truncation_K=K)
 
 
+def fixed_node_sum(func, a, b, panels, nodes=20):
+    """Composite Gauss-Legendre sum of ``func`` over [a, b] on a fixed grid."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    edges = np.linspace(a, b, panels + 1)
+    half = 0.5 * (edges[1] - edges[0])
+    pts = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * x[None, :]).ravel()
+    return half * (func(pts) @ np.tile(w, panels))
+
+
+def reference_coeffs(sol, spec, panels):
+    """-<X_S cosh(beta f), psi_k> / <psi_k, psi_k> by fixed-node sums."""
+    p = spec.params
+    us = math.sqrt(2.0) * spec.eigenvalues * p.f_bar / p.sigma
+    xs = lambda f: eval_stationary(sol, f) * np.cosh(p.beta * f)
+    modes = lambda f: np.sin(np.multiply.outer(us / p.f_bar, f))
+    inner = fixed_node_sum(lambda f: modes(f) * xs(f), -p.f_bar, p.f_bar, panels)
+    norms = fixed_node_sum(lambda f: modes(f) ** 2, -p.f_bar, p.f_bar, panels)
+    return -inner / norms
+
+
 def test_modes_coincide_at_beta_zero():
+    # cosh = 1 and every mode norm equals f_bar, so the projection reduces
+    # to the plain sine transform -(1/f_bar) * integral of X_S sin(...)
     p = ModelParams(alpha=0.8, beta=0.0, sigma=1.0, f_bar=0.1, horizon_T=3.0)
     spec = build_spectrum(p, 25)
     sol = solve_smooth_pasting(p)
-    plain = fourier_coeffs(sol, spec, "plain_sine")
-    exact = fourier_coeffs(sol, spec, "exact_projection")
-    assert np.abs(plain - exact).max() < 1e-12
+    us = math.sqrt(2.0) * spec.eigenvalues * p.f_bar / p.sigma
+    plain = -fixed_node_sum(
+        lambda f: np.sin(np.multiply.outer(us / p.f_bar, f)) * eval_stationary(sol, f),
+        -p.f_bar,
+        p.f_bar,
+        50,
+    ) / p.f_bar
+    assert np.abs(plain - fourier_coeffs(sol, spec)).max() < 1e-12
+
+
+@pytest.mark.parametrize("sigma", [0.1, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("share", [0.5, 2.0])
+def test_closed_form_coefficients_match_fixed_node_sum(sigma, share):
+    base = ModelParams(alpha=0.8, sigma=sigma, f_bar=0.1, horizon_T=3.0)
+    p = dataclasses.replace(base, beta=share * regime_threshold(base))
+    spec = build_spectrum(p, 200)
+    assert spec.regime == ("shifted" if share > 1.0 else "diffusive")
+    sol = solve_smooth_pasting(p)
+    got = fourier_coeffs(sol, spec)
+    ref = reference_coeffs(sol, spec, panels=400)
+    assert np.abs(got - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+
+
+def test_stiff_projection_matches_high_precision():
+    p = ModelParams(alpha=200.0, beta=2000.0, sigma=0.1, f_bar=0.1, horizon_T=1.0)
+    ts = build_transient(p, K=50)
+    assert np.all(np.isfinite(ts.coeffs))
+    sol = ts.stationary
+    with mpmath.workdps(30):
+        fb, b = mpmath.mpf(p.f_bar), mpmath.mpf(p.beta)
+        r = mpmath.sqrt(b**2 + 2 * mpmath.mpf(p.alpha) / mpmath.mpf(p.sigma) ** 2)
+        d = 2 * mpmath.mpf(p.alpha) + b**2 * (1 - mpmath.mpf(p.sigma) ** 2)
+        a_t, b_t = mpmath.mpf(sol.a_anchor), mpmath.mpf(sol.b_anchor)
+
+        def x_cosh(f):  # X_S(f) cosh(beta f), from the anchored closed form
+            particular = 2 * p.alpha / d**2 * (
+                f * d * mpmath.cosh(b * f) + 2 * b * p.sigma**2 * mpmath.sinh(b * f)
+            )
+            return a_t * mpmath.exp(r * (f - fb)) + b_t * mpmath.exp(-r * (f + fb)) + particular
+
+        for k in (1, 40):
+            u = mpmath.sqrt(2) * mpmath.mpf(ts.spectrum.eigenvalues[k - 1]) * fb / p.sigma
+            # the integrand is even: twice the integral over [0, f_bar]
+            inner = 2 * mpmath.quad(
+                lambda f: x_cosh(f) * mpmath.sin(u * f / fb),
+                [fb * j / 8 for j in range(9)],
+                method="gauss-legendre",
+            )
+            ref = float(-inner / (fb * (1 - mpmath.sin(2 * u) / (2 * u))))
+            assert ts.coeffs[k - 1] == pytest.approx(ref, rel=1e-10)
+
+
+def test_projection_refuses_unsupported_solutions():
+    flat = dataclasses.replace(REF, beta=0.0)
+    with pytest.raises(DomainError):
+        fourier_coeffs(gaussian_stationary(flat), build_spectrum(flat, 5))
+    with pytest.raises(DomainError):
+        fourier_coeffs(ou_stationary(1.0, 0.02, REF), build_spectrum(REF, 5))
+    with pytest.raises(DomainError):
+        fourier_coeffs(solve_smooth_pasting(REF, band=(-0.05, 0.1)), build_spectrum(REF, 5))
 
 
 def test_coefficients_decay():
@@ -97,26 +179,11 @@ def test_mode_orthogonality_under_quadrature():
     p = ModelParams(alpha=0.8, beta=5.0, sigma=1.0, f_bar=0.1)
     spec = build_spectrum(p, 8)
     us = math.sqrt(2.0) * spec.eigenvalues * p.f_bar / p.sigma
+    x, w = np.polynomial.legendre.leggauss(96)
     for j in range(8):
         for k in range(j + 1, 8):
-            val = adaptive_gauss_legendre(
-                lambda f: np.sin(us[j] * f / p.f_bar) * np.sin(us[k] * f / p.f_bar),
-                -p.f_bar,
-                p.f_bar,
-                tol=1e-13,
-                initial_panels=8,
-            )
+            val = p.f_bar * np.dot(w, np.sin(us[j] * x) * np.sin(us[k] * x))
             assert abs(val) < 1e-10
-
-
-def test_plain_sine_mode_misses_terminal_parity_at_positive_beta():
-    p = ModelParams(alpha=0.8, beta=5.0, sigma=1.0, f_bar=0.1, horizon_T=3.0)
-    fg = np.linspace(-0.1, 0.1, 201)
-    exact = build_transient(p, K=100, mode="exact_projection")
-    plain = build_transient(p, K=100, mode="plain_sine")
-    err_exact = np.abs(eval_full(exact, 3.0, fg)).max()
-    err_literal = np.abs(eval_full(plain, 3.0, fg)).max()
-    assert err_exact < 0.1 * err_literal
 
 
 def test_surface_rows():
@@ -125,7 +192,7 @@ def test_surface_rows():
     t_grid = np.linspace(0.0, REF.horizon_T, 7)
     mat = surface(ts, t_grid, fg)
     assert mat.shape == (7, 51)
-    base = eval_stationary(ts.stationary, fg.points)
+    base = eval_stationary(ts.stationary, fg)
     tail = np.sum(np.abs(ts.coeffs)) * math.exp(-ts.decay_rates()[0] * REF.horizon_T)
     assert np.abs(mat[0] - base).max() <= tail + 1e-15
     assert np.abs(mat[-1]).max() < 1e-3
@@ -139,8 +206,8 @@ def test_surfaces_differ_most_near_band_for_riskier_dynamics():
         p = ModelParams(alpha=0.8, beta=beta, sigma=1.0, f_bar=0.1, horizon_T=3.0)
         mats[beta] = surface(build_transient(p, K=50), t_grid, fg)[0]
     gap = np.abs(mats[0.0] - mats[5.0])
-    inner = np.abs(fg.points) < 0.05
-    outer = np.abs(fg.points) > 0.08
+    inner = np.abs(fg) < 0.05
+    outer = np.abs(fg) > 0.08
     assert gap[outer].max() > gap[inner].max()
 
 
@@ -155,5 +222,3 @@ def test_domain_checks():
     other = ModelParams(alpha=0.9, beta=1.0, sigma=1.0, f_bar=0.1)
     with pytest.raises(DomainError):
         fourier_coeffs(solve_smooth_pasting(REF), build_spectrum(other, 5))
-    with pytest.raises(DomainError):
-        build_transient(REF, K=5, mode="no_such_mode")
