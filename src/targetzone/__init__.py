@@ -40,6 +40,8 @@ from .spectral import (
     spread_coefficient,
 )
 from .stationary import (
+    GaussianStationary,
+    OUStationary,
     StationarySolution,
     eval_stationary,
     eval_stationary_derivatives,
@@ -66,8 +68,10 @@ __all__ = [
     "DensityEstimate",
     "DomainError",
     "FeasibilityReport",
+    "GaussianStationary",
     "ModelParams",
     "NumericalError",
+    "OUStationary",
     "PathEnsemble",
     "PoleError",
     "RngStream",

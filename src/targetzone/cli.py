@@ -39,7 +39,7 @@ from .spectral import (
     relaxation_time,
     spread_coefficient,
 )
-from .stationary import eval_stationary, gaussian_stationary, ou_stationary, solve_smooth_pasting
+from .stationary import eval_stationary, ou_stationary, solve_smooth_pasting
 from .transient import build_transient, surface
 
 __all__ = ["main", "load_scenario", "run_command"]
@@ -55,6 +55,8 @@ _SCENARIO_KEYS = {
     "ou": {"lambda_speed", "mu", "K", "n_points"},
     "outputs": {"format", "path"},
 }
+
+_FORMATS = ("csv", "json")
 
 _DEFAULTS = {
     "spectral_K": 50,
@@ -86,36 +88,58 @@ def load_scenario(path: str | Path) -> dict:
             )
     if "model" not in raw:
         raise ValidationError("scenario needs a 'model' section")
+    if raw.get("outputs", {}).get("format", "csv") not in _FORMATS:
+        raise ValidationError(f"unknown outputs.format {raw['outputs']['format']!r}")
     return raw
 
 
+def _convert(key: str, value, cast=float):
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{key} must be a number, got {value!r}") from None
+
+
+def _num(scn: dict, key: str, default=None, cast=float):
+    """Scenario field ``section.name`` through ``cast``; malformed -> ValidationError."""
+    section, name = key.split(".")
+    return _convert(key, scn.get(section, {}).get(name, default), cast)
+
+
+def _nums(scn: dict, key: str, default: list) -> list[float]:
+    """Scenario list field ``section.name`` as floats."""
+    section, name = key.split(".")
+    values = scn.get(section, {}).get(name, default)
+    if not isinstance(values, list):
+        raise ValidationError(f"{key} must be a list of numbers, got {values!r}")
+    return [_convert(key, v) for v in values]
+
+
 def _model(scn: dict) -> ModelParams:
-    m = scn["model"]
-    if "alpha" not in m:
+    if "alpha" not in scn["model"]:
         raise ValidationError("model.alpha is required")
     params = ModelParams(
-        alpha=float(m["alpha"]),
-        beta=float(m.get("beta", 0.0)),
-        sigma=float(m.get("sigma", 1.0)),
-        f_bar=float(m.get("f_bar", 0.1)),
-        horizon_T=float(m.get("horizon_T", 3.0)),
-        r_share=float(m.get("r_share", 0.0)),
+        alpha=_num(scn, "model.alpha"),
+        beta=_num(scn, "model.beta", 0.0),
+        sigma=_num(scn, "model.sigma", 1.0),
+        f_bar=_num(scn, "model.f_bar", 0.1),
+        horizon_T=_num(scn, "model.horizon_T", 3.0),
+        r_share=_num(scn, "model.r_share", 0.0),
     )
     return validate(params)
 
 
 def _sim_config(scn: dict, params: ModelParams, seed_override: int | None) -> SimConfig:
     s = scn.get("sim", {})
-    seed = int(s.get("seed", 0)) if seed_override is None else seed_override
-    dt = s.get("dt")
+    seed = _num(scn, "sim.seed", 0, int) if seed_override is None else seed_override
     return SimConfig(
         params=params,
-        n_paths=int(s.get("n_paths", 5000)),
-        dt=None if dt is None else float(dt),
+        n_paths=_num(scn, "sim.n_paths", 5000, int),
+        dt=None if s.get("dt") is None else _num(scn, "sim.dt"),
         drift_mode=str(s.get("drift_mode", "tanh")),
         intervention=str(s.get("intervention", "pure_reflection")),
         seed=seed,
-        kappa=float(s.get("kappa", _DEFAULTS["kappa"])),
+        kappa=_num(scn, "sim.kappa", _DEFAULTS["kappa"]),
     )
 
 
@@ -150,7 +174,7 @@ def _json_text(obj) -> str:
 
 def cmd_spectrum(scn: dict, fmt: str, threads: int, seed: int | None) -> str:
     params = _model(scn)
-    K = int(scn.get("spectral", {}).get("K", _DEFAULTS["spectral_K"]))
+    K = _num(scn, "spectral.K", _DEFAULTS["spectral_K"], int)
     spec = build_spectrum(params, K)
     us = np.sqrt(2.0) * spec.eigenvalues * params.f_bar / params.sigma
     rows = [
@@ -173,9 +197,8 @@ def cmd_spectrum(scn: dict, fmt: str, threads: int, seed: int | None) -> str:
 
 def cmd_stationary(scn: dict, fmt: str, threads: int, seed: int | None) -> str:
     params = _model(scn)
-    sct = scn.get("stationary", {})
-    betas = [float(b) for b in sct.get("beta_values", [params.beta])]
-    n = int(sct.get("n_points", 201))
+    betas = _nums(scn, "stationary.beta_values", [params.beta])
+    n = _num(scn, "stationary.n_points", 201, int)
     rows = []
     for b in betas:
         p = dataclasses.replace(params, beta=b)
@@ -192,10 +215,9 @@ def cmd_stationary(scn: dict, fmt: str, threads: int, seed: int | None) -> str:
 
 def cmd_transient(scn: dict, fmt: str, threads: int, seed: int | None) -> str:
     params = _model(scn)
-    tct = scn.get("transient", {})
-    K = int(tct.get("K", _DEFAULTS["spectral_K"]))
-    n_times = int(tct.get("n_times", 25))
-    n_points = int(tct.get("n_points", 101))
+    K = _num(scn, "transient.K", _DEFAULTS["spectral_K"], int)
+    n_times = _num(scn, "transient.n_times", 25, int)
+    n_points = _num(scn, "transient.n_points", 101, int)
     ts = build_transient(params, K=K)
     t_grid = np.linspace(0.0, params.horizon_T, n_times)
     f_grid = uniform_grid(params, n_points)
@@ -233,9 +255,8 @@ def cmd_feasibility(scn: dict, fmt: str, threads: int, seed: int | None) -> str:
 
 def cmd_regime_scan(scn: dict, fmt: str, threads: int, seed: int | None) -> str:
     params = _model(scn)
-    sct = scn.get("spectral", {})
     beta_e = regime_threshold(params)
-    grid = np.linspace(max(1e-6, 0.05 * beta_e), 2.5 * beta_e, int(sct.get("K", 120)))
+    grid = np.linspace(max(1e-6, 0.05 * beta_e), 2.5 * beta_e, _num(scn, "spectral.K", 120, int))
     rows = regime_scan(params, grid)
     if fmt == "json":
         return _json_text(
@@ -272,13 +293,12 @@ def _density_values(scn: dict, params: ModelParams, cfg: SimConfig, threads: int
     target = str(dct.get("target", "exchange"))
     if target not in ("exchange", "fundamental"):
         raise ValidationError(f"unknown density target {target!r}")
-    window = dct.get("t_window", [0.0, 1.0])
+    window = _nums(scn, "density.t_window", [0.0, 1.0])
     if len(window) != 2 or not 0.0 <= window[0] < window[1] <= 1.0:
         raise ValidationError("density.t_window must be [lo, hi] fractions of the horizon")
     ens = simulate(cfg, threads=threads)
     if target == "exchange":
-        K = int(scn.get("transient", {}).get("K", _DEFAULTS["spectral_K"]))
-        ts = build_transient(params, K=K)
+        ts = build_transient(params, K=_num(scn, "transient.K", _DEFAULTS["spectral_K"], int))
         mat = exchange_paths(ens, ts)
     else:
         mat = ens.fundamentals
@@ -292,7 +312,7 @@ def _density_values(scn: dict, params: ModelParams, cfg: SimConfig, threads: int
         value_range = None
     else:
         raise ValidationError(f"unknown density range {rng_kind!r}")
-    n_bins = int(dct.get("n_bins", _DEFAULTS["n_bins"]))
+    n_bins = _num(scn, "density.n_bins", _DEFAULTS["n_bins"], int)
     return estimate_density(values, n_bins, value_range), target
 
 
@@ -319,9 +339,8 @@ def cmd_density(scn: dict, fmt: str, threads: int, seed: int | None) -> str:
 
 def cmd_honeymoon(scn: dict, fmt: str, threads: int, seed: int | None) -> str:
     params = _model(scn)
-    hct = scn.get("honeymoon", {})
-    F = float(hct.get("F", params.f_bar))
-    omega = float(hct.get("omega", 0.0))
+    F = _num(scn, "honeymoon.F", params.f_bar)
+    omega = _num(scn, "honeymoon.omega", 0.0)
     rep = classify_honeymoon(params, F, omega)
     payload = {
         "W": rep.W,
@@ -339,21 +358,20 @@ def cmd_honeymoon(scn: dict, fmt: str, threads: int, seed: int | None) -> str:
 
 def cmd_ou(scn: dict, fmt: str, threads: int, seed: int | None) -> str:
     params = _model(scn)
-    oct_ = scn.get("ou", {})
-    lam = float(oct_.get("lambda_speed", 1.0))
-    mu = float(oct_.get("mu", 0.0))
-    K = int(oct_.get("K", 10))
-    n = int(oct_.get("n_points", 201))
+    lam = _num(scn, "ou.lambda_speed", 1.0)
+    mu = _num(scn, "ou.mu", 0.0)
+    K = _num(scn, "ou.K", 10, int)
+    n = _num(scn, "ou.n_points", 201, int)
     sol = ou_stationary(lam, mu, params)
     grid = uniform_grid(params, n)
     xs = eval_stationary(sol, grid)
-    spec = ou_asymptotic_spectrum(lam, mu, params, K)
+    omegas = ou_asymptotic_spectrum(lam, mu, params, K)
     payload = {
         "A": sol.A,
         "B": sol.B,
         "lambda_speed": lam,
         "mu": mu,
-        "asymptotic_spectrum": [float(w) for w in spec.eigenvalues],
+        "asymptotic_spectrum": [float(w) for w in omegas],
         "curve": {"f": [float(f) for f in grid], "x": [float(x) for x in xs]},
     }
     if fmt == "csv":
@@ -387,13 +405,14 @@ def run_command(
     if command not in _COMMANDS:
         raise ValidationError(f"unknown command {command!r}")
     func, default_fmt = _COMMANDS[command]
-    fmt = fmt or default_fmt
-    if fmt not in ("csv", "json"):
-        raise ValidationError(f"unknown format {fmt!r}")
     if threads < 1:
         raise ValidationError("--threads must be >= 1")
     scn = load_scenario(scenario_path)
     out = scn.get("outputs", {})
+    # outputs.format belongs to outputs.path; --out names another file
+    fmt = fmt or (None if out_path else out.get("format")) or default_fmt
+    if fmt not in _FORMATS:
+        raise ValidationError(f"unknown format {fmt!r}")
     target = Path(out_path) if out_path else Path(out.get("path", f"{command}.{fmt}"))
     text = func(scn, fmt, threads, seed)
     _write_atomic(target, text)

@@ -36,15 +36,13 @@ from .spectral import spread_coefficient
 __all__ = ["ContactReport", "gaussian_contact", "delta_profile", "classify_honeymoon"]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ContactReport:
     """Smooth-fit contact point and honeymoon applicability verdict."""
 
     W: float | None
     Wc: float | None
     applicable: bool
-    delta_values: np.ndarray
-    delta_grid: np.ndarray
     status: str  # "ok" | "inconclusive"
 
 
@@ -108,9 +106,6 @@ def classify_honeymoon(
     if F <= 0.0:
         raise DomainError("target level F must be positive")
 
-    grid = np.linspace(0.0, 10.0 * (F + 1.0), 2001)
-    deltas = delta_profile(params, grid)
-
     status = "ok"
     W: float | None
     try:
@@ -128,7 +123,8 @@ def classify_honeymoon(
 
     Wc: float | None = None
     if params.beta > 0.0:
-        signs = np.sign(deltas[1:])
+        grid = np.linspace(0.0, 10.0 * (F + 1.0), 2001)
+        signs = np.sign(delta_profile(params, grid)[1:])
         flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
         if flips.size:
             i = int(flips[0]) + 1
@@ -146,11 +142,4 @@ def classify_honeymoon(
         below_critical = Wc is not None and W is not None and Wc < W
         applicable = not shifted and not below_critical
 
-    return ContactReport(
-        W=W,
-        Wc=Wc,
-        applicable=applicable,
-        delta_values=deltas,
-        delta_grid=grid,
-        status=status,
-    )
+    return ContactReport(W=W, Wc=Wc, applicable=applicable, status=status)

@@ -74,6 +74,8 @@ def _validate_config(config: SimConfig) -> float:
     validate(config.params)
     if config.n_paths < 1:
         raise DomainError("n_paths must be >= 1")
+    if config.seed < 0:
+        raise DomainError("seed must be >= 0")
     dt = config.resolved_dt()
     if dt <= 0.0:
         raise DomainError("dt must be positive")
@@ -110,13 +112,6 @@ class PathEnsemble:
     intervention_overshoots: np.ndarray
     bernoulli_signs: np.ndarray | None
 
-    def interventions(self, path: int) -> list[tuple[float, float]]:
-        """(time, overshoot) events of one path, in time order."""
-        mask = self.intervention_paths == path
-        return list(
-            zip(self.intervention_times[mask], self.intervention_overshoots[mask])
-        )
-
     @property
     def n_interventions(self) -> int:
         return len(self.intervention_times)
@@ -149,20 +144,13 @@ def _reflect_into(values: np.ndarray, radius: float) -> np.ndarray:
     return np.where(y <= 2.0 * radius, y - radius, 3.0 * radius - y)
 
 
-def simulate(
-    config: SimConfig,
-    transient: TransientSolution | None = None,
-    *,
-    threads: int = 1,
-) -> PathEnsemble:
+def simulate(config: SimConfig, *, threads: int = 1) -> PathEnsemble:
     """Simulate the regulated fundamental; bit-identical for any thread count.
 
     Threads only split the per-path noise generation into chunks; the
     vectorized time stepping itself is deterministic.
     """
     dt = _validate_config(config)
-    if transient is not None and transient.spectrum.params != config.params:
-        raise DomainError("transient solution and simulation must share params")
     p = config.params
     n_steps = max(1, int(round(p.horizon_T / dt)))
     times = np.arange(n_steps + 1) * dt
@@ -270,10 +258,6 @@ class DensityEstimate:
     @property
     def centers(self) -> np.ndarray:
         return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
-
-    def interpolate(self, x) -> np.ndarray:
-        """Linear interpolation between bin centers."""
-        return np.interp(x, self.centers, self.density)
 
     def bin_masses(self) -> np.ndarray:
         """Per-bin probabilities, renormalized to sum to one."""

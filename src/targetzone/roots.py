@@ -13,6 +13,12 @@ from .errors import BracketError
 
 __all__ = ["bisect_newton", "expand_bracket"]
 
+# Bisection steps (the ~4-ulp width rule stops far sooner) and the
+# geometric growth of expand_bracket.
+_MAX_ITER = 200
+_EXPAND_FACTOR = 2.0
+_MAX_EXPANSIONS = 60
+
 
 def bisect_newton(
     func: Callable[[float], float],
@@ -21,8 +27,6 @@ def bisect_newton(
     *,
     dfunc: Callable[[float], float] | None = None,
     ftol: float = 1e-13,
-    xtol: float = 0.0,
-    max_iter: int = 200,
 ) -> float:
     """Root of ``func`` in [lo, hi], refined until |func| <= ftol.
 
@@ -42,10 +46,10 @@ def bisect_newton(
         )
     a, b, fa = lo, hi, flo
     x = 0.5 * (a + b)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         x = 0.5 * (a + b)
         fx = func(x)
-        if abs(fx) <= ftol or (b - a) <= max(xtol, 4.0 * abs(x) * 2.2e-16):
+        if abs(fx) <= ftol or (b - a) <= 4.0 * abs(x) * 2.2e-16:
             break
         if fa * fx <= 0.0:
             b = x
@@ -71,9 +75,6 @@ def expand_bracket(
     func: Callable[[float], float],
     lo: float,
     hi: float,
-    *,
-    factor: float = 2.0,
-    max_expansions: int = 60,
 ) -> tuple[float, float]:
     """Grow ``hi`` geometrically until [lo, hi] brackets a sign change."""
     flo = func(lo)
@@ -81,8 +82,8 @@ def expand_bracket(
     n = 0
     while flo * fhi > 0.0:
         n += 1
-        if n > max_expansions:
+        if n > _MAX_EXPANSIONS:
             raise BracketError("bracket expansion exhausted without sign change")
-        hi = lo + (hi - lo) * factor
+        hi = lo + (hi - lo) * _EXPAND_FACTOR
         fhi = func(hi)
     return lo, hi

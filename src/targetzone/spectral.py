@@ -21,7 +21,8 @@ and smooth pasting at the band edges stops being attainable.  Detection
 is therefore analytic (c > 1), never a heuristic jump search.
 
 The softly-attractive and mean-reverting (Ornstein-Uhlenbeck, large-k
-asymptotic) spectra from the appendix variants are provided alongside.
+asymptotic) spectra from the appendix variants are provided alongside as
+plain arrays.
 """
 
 from __future__ import annotations
@@ -62,20 +63,13 @@ def spread_coefficient(params: ModelParams) -> float:
 class Spectrum:
     """Ordered eigenvalues Omega_1 < Omega_2 < ... with regime metadata.
 
-    ``brackets`` stores the u-interval each root was extracted from
-    (``None`` for the closed-form appendix families).  ``decay_rates``
-    and ``admissible`` are populated only by the softly-attractive
-    family, ``asymptotic`` marks the large-k Ornstein-Uhlenbeck formula.
+    ``brackets`` stores the u-interval each root was extracted from.
     """
 
     params: ModelParams
     eigenvalues: np.ndarray
-    brackets: tuple[tuple[float, float], ...] | None
+    brackets: tuple[tuple[float, float], ...]
     regime: str  # "diffusive" | "shifted"
-    family: str = "dmps"  # "dmps" | "soft_attractive" | "ou_asymptotic"
-    decay_rates: np.ndarray | None = None
-    admissible: np.ndarray | None = None
-    asymptotic: bool = False
 
     def __len__(self) -> int:
         return len(self.eigenvalues)
@@ -229,13 +223,14 @@ def regime_scan(
     return rows
 
 
-def soft_attractive_spectrum(params: ModelParams, K: int) -> Spectrum:
+def soft_attractive_spectrum(params: ModelParams, K: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact spectrum of the softly-attractive (negated drift) variant.
 
-    Omega_k = (2k+1) * pi / (2 sqrt(2) f_bar) for k = 0..K-1, with decay
-    rates lambda_k = (2k+1)^2 pi^2 / (8 f_bar^2) - beta^2/2 - alpha and an
-    admissibility flag lambda_k >= 0.  There is no spectral gap and hence
-    no regime shift in this family.
+    Returns ``(eigenvalues, decay_rates)``: Omega_k = (2k+1) * pi /
+    (2 sqrt(2) f_bar) for k = 0..K-1 and lambda_k = (2k+1)^2 pi^2 /
+    (8 f_bar^2) - beta^2/2 - alpha.  A mode is admissible when its decay
+    rate is >= 0.  There is no spectral gap and hence no regime shift in
+    this family.
     """
     validate(params)
     if K < 1:
@@ -244,25 +239,17 @@ def soft_attractive_spectrum(params: ModelParams, K: int) -> Spectrum:
     odd = 2 * k + 1
     eigenvalues = odd * math.pi / (2.0 * math.sqrt(2.0) * params.f_bar)
     decay = odd.astype(float) ** 2 * math.pi**2 / (8.0 * params.f_bar**2) - params.rho()
-    return Spectrum(
-        params=params,
-        eigenvalues=eigenvalues,
-        brackets=None,
-        regime="diffusive",
-        family="soft_attractive",
-        decay_rates=decay,
-        admissible=decay >= 0.0,
-    )
+    return eigenvalues, decay
 
 
 def ou_asymptotic_spectrum(
     lambda_speed: float, mu: float, params: ModelParams, K: int
-) -> Spectrum:
-    """Large-k asymptotic spectrum of the mean-reverting variant.
+) -> np.ndarray:
+    """Large-k asymptotic eigenvalues of the mean-reverting variant.
 
     Omega_k = k^2 pi sigma^2 / (8 f_bar^2) + lambda/2 + c0 with
     c0 = lambda^2 (4 f_bar^2 - 6 f_bar mu + 3 mu^2) / (6 sigma^2),
-    k = 1..K; error O(1/k^2), so the values are tagged asymptotic.
+    k = 1..K; error O(1/k^2).  1/Omega_1 estimates the relaxation time.
     """
     validate(params)
     if K < 1:
@@ -272,12 +259,4 @@ def ou_asymptotic_spectrum(
     fb, sg = params.f_bar, params.sigma
     c0 = lambda_speed**2 * (4.0 * fb**2 - 6.0 * fb * mu + 3.0 * mu**2) / (6.0 * sg**2)
     k = np.arange(1, K + 1, dtype=float)
-    eigenvalues = k**2 * math.pi * sg**2 / (8.0 * fb**2) + 0.5 * lambda_speed + c0
-    return Spectrum(
-        params=params,
-        eigenvalues=eigenvalues,
-        brackets=None,
-        regime="diffusive",
-        family="ou_asymptotic",
-        asymptotic=True,
-    )
+    return k**2 * math.pi * sg**2 / (8.0 * fb**2) + 0.5 * lambda_speed + c0

@@ -12,9 +12,10 @@ with r = sqrt(beta^2 + 2 alpha / sigma^2) and the particular part
 
 A and B are fixed by zero-slope (smooth-pasting) conditions at the band
 edges; their closed forms are lengthy, so the 2x2 linear system is solved
-directly with partial pivoting instead.  The Gaussian limit (beta = 0)
-and the mean-reverting stationary solution built on the confluent
-hypergeometric function live here as well.
+directly with partial pivoting instead.  The Gaussian limit (beta = 0,
+:class:`GaussianStationary`) and the mean-reverting stationary solution
+built on the confluent hypergeometric function (:class:`OUStationary`)
+live here as well, each as its own type.
 
 Internally the homogeneous terms are carried in boundary-anchored form,
 A~ e^{r (f - f_high)} and B~ e^{-r (f - f_low)}, whose exponents never
@@ -35,6 +36,8 @@ from .specfun import kummer_1f1
 
 __all__ = [
     "StationarySolution",
+    "GaussianStationary",
+    "OUStationary",
     "solve_smooth_pasting",
     "eval_stationary",
     "eval_stationary_derivatives",
@@ -46,26 +49,38 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StationarySolution:
-    """Smooth-pasted stationary solution and its evaluator context.
+    """Smooth-pasted DMPS stationary solution on the band [f_low, f_high].
 
-    ``kind`` selects the closed form: "dmps" (general beta >= 0),
-    "gaussian" (beta = 0 limit in its own closed form), or "ou"
-    (mean-reverting, carries lambda_speed and mu).  ``A`` and ``B`` are
-    the raw constants multiplying e^{r f} and e^{-r f}; ``a_anchor`` and
-    ``b_anchor`` are their boundary-anchored rescalings actually used in
-    evaluation.
+    ``a_anchor`` and ``b_anchor`` multiply the boundary-anchored terms
+    e^{r (f - f_high)} and e^{-r (f - f_low)}.
     """
 
     params: ModelParams
+    f_low: float
+    f_high: float
+    a_anchor: float
+    b_anchor: float
+
+
+@dataclass(frozen=True)
+class GaussianStationary:
+    """Gaussian-limit (beta = 0) solution X_0(f) = f + a sinh(rho0 f)."""
+
+    params: ModelParams
+
+
+@dataclass(frozen=True)
+class OUStationary:
+    """Mean-reverting solution: A and B multiply the two 1F1 basis terms."""
+
+    params: ModelParams
+    lambda_speed: float
+    mu: float
     A: float
     B: float
-    kind: str = "dmps"
-    lambda_speed: float | None = None
-    mu: float | None = None
-    f_low: float = 0.0
-    f_high: float = 0.0
-    a_anchor: float = 0.0
-    b_anchor: float = 0.0
+
+
+_Stationary = StationarySolution | GaussianStationary | OUStationary
 
 
 def _growth_rate(p: ModelParams) -> float:
@@ -131,7 +146,7 @@ def _sine_moments(sol: StationarySolution, u: np.ndarray) -> np.ndarray:
     J_c = int f cosh(beta f) sin(k f) df.  Symmetric band only.
     """
     p = sol.params
-    if sol.kind != "dmps":
+    if not isinstance(sol, StationarySolution):
         raise DomainError("sine moments need the dmps stationary solution")
     if (sol.f_low, sol.f_high) != (-p.f_bar, p.f_bar):
         raise DomainError("sine moments need the symmetric band (-f_bar, f_bar)")
@@ -201,23 +216,10 @@ def solve_smooth_pasting(
         fac = m11 / m21
         bt = (rhs[0] - fac * rhs[1]) / (m12 - fac * m22)
         at = (rhs[1] - m22 * bt) / m21
-    # raw constants may under/overflow at extreme stiffness; evaluation
-    # only ever uses the anchored pair
-    A = at * math.exp(-min(r * f_hi, 700.0))
-    B = bt * math.exp(max(min(r * f_lo, 700.0), -700.0))
-    return StationarySolution(
-        params=params,
-        A=A,
-        B=B,
-        kind="dmps",
-        f_low=f_lo,
-        f_high=f_hi,
-        a_anchor=at,
-        b_anchor=bt,
-    )
+    return StationarySolution(params=params, f_low=f_lo, f_high=f_hi, a_anchor=at, b_anchor=bt)
 
 
-def gaussian_stationary(params: ModelParams) -> StationarySolution:
+def gaussian_stationary(params: ModelParams) -> GaussianStationary:
     """Closed-form Gaussian-limit solution X_0(f) = f + a sinh(rho0 f).
 
     Requires beta = 0; a = -1 / (rho0 cosh(rho0 f_bar)) pastes smoothly at
@@ -227,21 +229,10 @@ def gaussian_stationary(params: ModelParams) -> StationarySolution:
     validate(params)
     if params.beta != 0.0:
         raise DomainError("gaussian_stationary requires beta = 0")
-    rho0 = math.sqrt(2.0 * params.alpha) / params.sigma
-    a = -1.0 / (rho0 * math.cosh(min(rho0 * params.f_bar, 700.0)))
-    return StationarySolution(
-        params=params,
-        A=a,
-        B=0.0,
-        kind="gaussian",
-        f_low=-params.f_bar,
-        f_high=params.f_bar,
-    )
+    return GaussianStationary(params)
 
 
-def ou_stationary(
-    lambda_speed: float, mu: float, params: ModelParams
-) -> StationarySolution:
+def ou_stationary(lambda_speed: float, mu: float, params: ModelParams) -> OUStationary:
     """Mean-reverting stationary solution via confluent hypergeometrics.
 
     X_S(f) = A 1F1[q, 1/2; z] + B (sqrt(lambda)/sigma)(f-mu)
@@ -255,10 +246,9 @@ def ou_stationary(
     validate(params)
     if lambda_speed <= 0.0:
         raise DomainError("lambda_speed must be positive")
-    f_lo, f_hi = -params.f_bar, params.f_bar
     rows = []
     rhs = []
-    for f_star in (f_hi, f_lo):
+    for f_star in (params.f_bar, -params.f_bar):
         d1, d2 = _ou_basis_d1(lambda_speed, mu, params, f_star)
         rows.append([d1, d2])
         rhs.append(-_ou_particular_d1(lambda_speed, mu, params))
@@ -269,16 +259,7 @@ def ou_stationary(
         raise SingularSystemError("mean-reverting pasting system is singular")
     A = (rhs[0] * m22 - m12 * rhs[1]) / det
     B = (m11 * rhs[1] - rhs[0] * m21) / det
-    return StationarySolution(
-        params=params,
-        A=A,
-        B=B,
-        kind="ou",
-        lambda_speed=lambda_speed,
-        mu=mu,
-        f_low=f_lo,
-        f_high=f_hi,
-    )
+    return OUStationary(params, lambda_speed, mu, A, B)
 
 
 def _ou_q(lambda_speed: float, params: ModelParams) -> float:
@@ -322,10 +303,14 @@ def _ou_particular_d1(lambda_speed, mu, params) -> float:
     return lam * mu * (1.0 - r) / (lam * (1.0 - r) + params.alpha)
 
 
-def _check_band(sol: StationarySolution, f) -> np.ndarray:
+def _check_band(sol: _Stationary, f) -> np.ndarray:
     arr = np.asarray(f, dtype=float)
-    tol = 1e-12 * max(1.0, abs(sol.f_high), abs(sol.f_low))
-    if np.any(arr < sol.f_low - tol) or np.any(arr > sol.f_high + tol):
+    if isinstance(sol, StationarySolution):
+        lo, hi = sol.f_low, sol.f_high
+    else:
+        lo, hi = -sol.params.f_bar, sol.params.f_bar
+    tol = 1e-12 * max(1.0, abs(hi), abs(lo))
+    if np.any(arr < lo - tol) or np.any(arr > hi + tol):
         raise DomainError("fundamental outside the band")
     return arr
 
@@ -342,78 +327,70 @@ def _gaussian_ratios(p: ModelParams, arr: np.ndarray):
     return rho0, sinh_ratio, cosh_ratio
 
 
-def eval_stationary(sol: StationarySolution, f):
+def _ou_terms(sol: OUStationary, arr: np.ndarray, with_d1: bool):
+    """X_S and (if asked) X_S' of the mean-reverting solution, point by point."""
+    lam, mu, p = sol.lambda_speed, sol.mu, sol.params
+    x = np.empty(np.shape(arr))
+    d1 = np.empty(np.shape(arr))
+    for i, xi in np.ndenumerate(arr):
+        m1, m2 = _ou_basis(lam, mu, p, xi)
+        x[i] = sol.A * m1 + sol.B * m2 + _ou_particular(lam, mu, p, xi)
+        if with_d1:
+            dm1, dm2 = _ou_basis_d1(lam, mu, p, xi)
+            d1[i] = sol.A * dm1 + sol.B * dm2 + _ou_particular_d1(lam, mu, p)
+    return x, d1
+
+
+def eval_stationary(sol: _Stationary, f):
     """X_S(f); accepts scalars or arrays, domain-checked against the band."""
     arr = _check_band(sol, f)
-    if sol.kind == "dmps":
-        e_plus, e_minus, _ = _anchored_terms(sol, arr)
-        out = e_plus + e_minus + _particular(sol.params, arr)
-    elif sol.kind == "gaussian":
+    if isinstance(sol, OUStationary):
+        out = _ou_terms(sol, arr, with_d1=False)[0]
+    elif isinstance(sol, GaussianStationary):
         rho0, sinh_ratio, _ = _gaussian_ratios(sol.params, arr)
         out = arr - sinh_ratio / rho0
-    elif sol.kind == "ou":
-        vals = [
-            sol.A * m1 + sol.B * m2 + _ou_particular(sol.lambda_speed, sol.mu, sol.params, x)
-            for x in np.atleast_1d(arr)
-            for m1, m2 in [_ou_basis(sol.lambda_speed, sol.mu, sol.params, x)]
-        ]
-        out = np.array(vals)
-        return float(out[0]) if np.ndim(f) == 0 else out
     else:
-        raise DomainError(f"unknown stationary kind {sol.kind!r}")
+        e_plus, e_minus, _ = _anchored_terms(sol, arr)
+        out = e_plus + e_minus + _particular(sol.params, arr)
     return float(out) if np.ndim(f) == 0 else out
 
 
-def eval_stationary_derivatives(sol: StationarySolution, f):
+def eval_stationary_derivatives(sol: _Stationary, f):
     """(X_S, X_S', X_S'') from the analytic closed forms.
 
-    Second derivatives are available for the dmps and gaussian kinds; the
-    mean-reverting kind returns first derivatives only (X'' as None).
+    The mean-reverting solution returns first derivatives only (X'' as
+    None).
     """
     arr = _check_band(sol, f)
     p = sol.params
-    if sol.kind == "dmps":
-        b = p.beta
-        t = np.tanh(b * arr)
-        s2 = _sech2(b, arr)
-        e_plus, e_minus, r = _anchored_terms(sol, arr)
-        x = e_plus + e_minus + _particular(p, arr)
-        d1 = (r - b * t) * e_plus + (-r - b * t) * e_minus + _particular_d1(p, arr)
-        d2 = (
-            ((r - b * t) ** 2 - b**2 * s2) * e_plus
-            + ((r + b * t) ** 2 - b**2 * s2) * e_minus
-            + _particular_d2(p, arr)
-        )
-        return x, d1, d2
-    if sol.kind == "gaussian":
+    if isinstance(sol, OUStationary):
+        x, d1 = _ou_terms(sol, arr, with_d1=True)
+        return (float(x), float(d1), None) if np.ndim(f) == 0 else (x, d1, None)
+    if isinstance(sol, GaussianStationary):
         rho0, sinh_ratio, cosh_ratio = _gaussian_ratios(p, arr)
-        x = arr - sinh_ratio / rho0
-        d1 = 1.0 - cosh_ratio
-        d2 = -rho0 * sinh_ratio
-        return x, d1, d2
-    if sol.kind == "ou":
-        xs = np.atleast_1d(arr)
-        x = np.empty_like(xs)
-        d1 = np.empty_like(xs)
-        for i, xi in enumerate(xs):
-            m1, m2 = _ou_basis(sol.lambda_speed, sol.mu, p, xi)
-            dm1, dm2 = _ou_basis_d1(sol.lambda_speed, sol.mu, p, xi)
-            x[i] = sol.A * m1 + sol.B * m2 + _ou_particular(sol.lambda_speed, sol.mu, p, xi)
-            d1[i] = sol.A * dm1 + sol.B * dm2 + _ou_particular_d1(sol.lambda_speed, sol.mu, p)
-        if np.ndim(f) == 0:
-            return float(x[0]), float(d1[0]), None
-        return x, d1, None
-    raise DomainError(f"unknown stationary kind {sol.kind!r}")
+        return arr - sinh_ratio / rho0, 1.0 - cosh_ratio, -rho0 * sinh_ratio
+    b = p.beta
+    t = np.tanh(b * arr)
+    s2 = _sech2(b, arr)
+    e_plus, e_minus, r = _anchored_terms(sol, arr)
+    x = e_plus + e_minus + _particular(p, arr)
+    d1 = (r - b * t) * e_plus + (-r - b * t) * e_minus + _particular_d1(p, arr)
+    d2 = (
+        ((r - b * t) ** 2 - b**2 * s2) * e_plus
+        + ((r + b * t) ** 2 - b**2 * s2) * e_minus
+        + _particular_d2(p, arr)
+    )
+    return x, d1, d2
 
 
-def stationary_ode_residual(sol: StationarySolution, f):
+def stationary_ode_residual(sol: _Stationary, f):
     """Residual sigma^2/2 X'' + beta tanh(beta f) X' - alpha X + alpha f.
 
-    Zero (to roundoff) for any correctly constructed dmps or gaussian
+    Zero (to roundoff) for any correctly constructed DMPS or Gaussian
     solution; the main correctness gate of this module.
     """
-    if sol.kind not in ("dmps", "gaussian"):
-        raise DomainError("ODE residual applies to the dmps/gaussian kinds")
+    if isinstance(sol, OUStationary):
+        raise DomainError("ODE residual applies to the DMPS and Gaussian solutions")
     p = sol.params
     arr = np.asarray(f, dtype=float)
     x, d1, d2 = eval_stationary_derivatives(sol, arr)

@@ -28,6 +28,7 @@ from .params import ModelParams
 from .spectral import Spectrum, build_spectrum
 from .stationary import (
     StationarySolution,
+    _check_band,
     _sine_moments,
     eval_stationary,
     solve_smooth_pasting,
@@ -51,7 +52,6 @@ class TransientSolution:
     spectrum: Spectrum
     coeffs: np.ndarray
     stationary: StationarySolution
-    truncation_K: int
 
     def decay_rates(self) -> np.ndarray:
         """Omega_k^2 + rho, the per-mode exponential decay rates."""
@@ -85,7 +85,7 @@ def build_transient(params: ModelParams, K: int = 50) -> TransientSolution:
     spectrum = build_spectrum(params, K)
     sol = solve_smooth_pasting(params)
     coeffs = fourier_coeffs(sol, spectrum)
-    return TransientSolution(spectrum=spectrum, coeffs=coeffs, stationary=sol, truncation_K=K)
+    return TransientSolution(spectrum=spectrum, coeffs=coeffs, stationary=sol)
 
 
 def eval_transient(ts: TransientSolution, t: float, f):
@@ -93,9 +93,7 @@ def eval_transient(ts: TransientSolution, t: float, f):
     p = ts.spectrum.params
     if not 0.0 <= t <= p.horizon_T * (1.0 + 1e-12):
         raise DomainError("time outside [0, horizon_T]")
-    arr = np.asarray(f, dtype=float)
-    if np.any(np.abs(arr) > p.f_bar * (1.0 + 1e-12)):
-        raise DomainError("fundamental outside the band")
+    arr = _check_band(ts.stationary, f)
     tau = p.horizon_T - t
     decay = np.exp(-ts.decay_rates() * tau) * ts.coeffs
     us = _u_values(ts.spectrum)

@@ -90,9 +90,29 @@ def test_feasibility_report_round_trip(tmp_path):
     assert set(payload) >= {"omega1", "t_relax", "lower_bound", "upper_bound", "regime"}
 
 
+# (command, scenario sections over SMALL_SIM, extra CLI arguments): each is
+# malformed input and must exit 2, not crash
+MALFORMED = (
+    ("feasibility", {"model": {"alpha": "x"}}, []),
+    ("feasibility", {"model": {"alpha": None}}, []),
+    ("simulate", {"sim": {"n_paths": "many"}}, []),
+    ("density", {"density": {"t_window": 5}}, []),
+    ("stationary", {"stationary": {"beta_values": 1.0}}, []),
+    ("simulate", {"sim": {"seed": -3}}, []),
+    ("simulate", {}, ["--seed", "-1"]),
+    ("spectrum", {"outputs": {"format": "xml"}}, []),
+)
+
+
 def test_cli_exit_codes(tmp_path):
     bad = write_scenario(tmp_path, "bad.json", {"model": {"alpha": -1.0}})
     assert main(["feasibility", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
+    for i, (command, sections, extra) in enumerate(MALFORMED):
+        payload = {key: dict(SMALL_SIM.get(key, {}), **sections.get(key, {}))
+                   for key in set(SMALL_SIM) | set(sections)}
+        scn = write_scenario(tmp_path, f"malformed{i}.json", payload)
+        argv = [command, "--config", str(scn), "--out", str(tmp_path / f"m{i}")] + extra
+        assert main(argv) == 2, (command, sections, extra)
     missing = tmp_path / "nope.json"
     assert main(["spectrum", "--config", str(missing), "--out", str(tmp_path / "x")]) == 2
     # hypergeometric series blowup -> numerical failure channel
@@ -180,3 +200,22 @@ def test_transient_surface_output(tmp_path):
     # last time block sits at the parity line
     final = [abs(float(l.split(",")[2])) for l in lines[-21:]]
     assert max(final) < 1e-2
+
+
+def test_outputs_format_applies_to_the_scenario_output(tmp_path):
+    target = tmp_path / "x.json"
+    scn = write_scenario(
+        tmp_path,
+        "fmt.json",
+        {"model": {"alpha": 0.8, "beta": 1.0}, "spectral": {"K": 3},
+         "outputs": {"format": "json", "path": str(target)}},
+    )
+    assert main(["spectrum", "--config", str(scn)]) == 0
+    payload = json.loads(target.read_text())
+    assert [row["k"] for row in payload["rows"]] == [1, 2, 3]
+    # --format outranks outputs.format
+    assert main(["spectrum", "--config", str(scn), "--format", "csv"]) == 0
+    assert target.read_text().startswith("k,omega,u,")
+    # --out names another file, so the scenario's format does not apply
+    out = run_command("spectrum", scn, tmp_path / "other.out")
+    assert out.read_text().startswith("k,omega,u,")

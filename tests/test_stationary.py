@@ -9,6 +9,7 @@ from targetzone import (
     SingularSystemError,
     eval_stationary,
     eval_stationary_derivatives,
+    GaussianStationary,
     gaussian_stationary,
     ou_stationary,
     solve_smooth_pasting,
@@ -51,7 +52,7 @@ def test_smooth_pasting_by_finite_differences(beta):
 def test_constants_antisymmetric_on_symmetric_band():
     for beta in (0.0, 1.0, 5.0):
         sol = solve_smooth_pasting(FIG_PARAMS[beta])
-        assert sol.A == pytest.approx(-sol.B, rel=1e-12)
+        assert sol.a_anchor == pytest.approx(-sol.b_anchor, rel=1e-12)
         assert eval_stationary(sol, 0.0) == pytest.approx(0.0, abs=1e-14)
 
 
@@ -114,7 +115,7 @@ def test_gaussian_constructor_requires_beta_zero():
 def test_gaussian_constructor_properties():
     p = FIG_PARAMS[0.0]
     sol = gaussian_stationary(p)
-    assert sol.kind == "gaussian"
+    assert isinstance(sol, GaussianStationary)
     assert eval_stationary(sol, 0.0) == 0.0
     _, d1, _ = eval_stationary_derivatives(sol, np.array([-p.f_bar, p.f_bar]))
     assert np.abs(d1).max() < 1e-12

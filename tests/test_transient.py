@@ -32,7 +32,7 @@ def truncate(ts, K):
         eigenvalues=ts.spectrum.eigenvalues[:K],
         brackets=ts.spectrum.brackets[:K],
     )
-    return dataclasses.replace(ts, spectrum=spec, coeffs=ts.coeffs[:K], truncation_K=K)
+    return dataclasses.replace(ts, spectrum=spec, coeffs=ts.coeffs[:K])
 
 
 def fixed_node_sum(func, a, b, panels, nodes=20):
@@ -222,3 +222,17 @@ def test_domain_checks():
     other = ModelParams(alpha=0.9, beta=1.0, sigma=1.0, f_bar=0.1)
     with pytest.raises(DomainError):
         fourier_coeffs(solve_smooth_pasting(REF), build_spectrum(other, 5))
+
+
+def test_band_rule_shared_by_both_halves():
+    ts = build_transient(REF, K=10)
+    edge = REF.f_bar + 5e-13
+    # both halves accept the point, so the full rate is their sum
+    assert eval_full(ts, 0.0, edge) == eval_transient(ts, 0.0, edge) + eval_stationary(
+        ts.stationary, edge
+    )
+    for beyond in (REF.f_bar + 2e-12, -REF.f_bar - 2e-12):
+        with pytest.raises(DomainError):
+            eval_transient(ts, 0.0, beyond)
+        with pytest.raises(DomainError):
+            eval_stationary(ts.stationary, beyond)
