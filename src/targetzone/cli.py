@@ -4,7 +4,8 @@ Each subcommand reads one scenario file, runs the corresponding solver or
 simulation, and writes a single output file atomically (temp file plus
 rename, so partial outputs never appear).  Every run is deterministic
 given the scenario and seed; ``--threads`` never changes numbers, only
-how per-path noise generation is chunked.
+how many of the 256-path noise blocks, each keyed by (seed, block), are
+drawn at once.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
 """
@@ -24,6 +25,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .honeymoon import classify_honeymoon
 from .mc import (
+    MIN_BINS,
     SimConfig,
     classify_shape,
     estimate_density,
@@ -90,6 +92,8 @@ def load_scenario(path: str | Path) -> dict:
         raise ValidationError("scenario needs a 'model' section")
     if raw.get("outputs", {}).get("format", "csv") not in _FORMATS:
         raise ValidationError(f"unknown outputs.format {raw['outputs']['format']!r}")
+    if not isinstance(raw.get("outputs", {}).get("path", ""), str):
+        raise ValidationError(f"outputs.path must be a string, got {raw['outputs']['path']!r}")
     return raw
 
 
@@ -104,6 +108,14 @@ def _num(scn: dict, key: str, default=None, cast=float):
     """Scenario field ``section.name`` through ``cast``; malformed -> ValidationError."""
     section, name = key.split(".")
     return _convert(key, scn.get(section, {}).get(name, default), cast)
+
+
+def _count(scn: dict, key: str, default: int, minimum: int) -> int:
+    """Integer scenario field, refused below ``minimum``."""
+    value = _num(scn, key, default, int)
+    if value < minimum:
+        raise ValidationError(f"{key} must be >= {minimum}, got {value}")
+    return value
 
 
 def _nums(scn: dict, key: str, default: list) -> list[float]:
@@ -134,7 +146,7 @@ def _sim_config(scn: dict, params: ModelParams, seed_override: int | None) -> Si
     seed = _num(scn, "sim.seed", 0, int) if seed_override is None else seed_override
     return SimConfig(
         params=params,
-        n_paths=_num(scn, "sim.n_paths", 5000, int),
+        n_paths=_count(scn, "sim.n_paths", 5000, 1),
         dt=None if s.get("dt") is None else _num(scn, "sim.dt"),
         drift_mode=str(s.get("drift_mode", "tanh")),
         intervention=str(s.get("intervention", "pure_reflection")),
@@ -174,7 +186,7 @@ def _json_text(obj) -> str:
 
 def cmd_spectrum(scn: dict, fmt: str, threads: int, seed: int | None) -> str:
     params = _model(scn)
-    K = _num(scn, "spectral.K", _DEFAULTS["spectral_K"], int)
+    K = _count(scn, "spectral.K", _DEFAULTS["spectral_K"], 1)
     spec = build_spectrum(params, K)
     us = np.sqrt(2.0) * spec.eigenvalues * params.f_bar / params.sigma
     rows = [
@@ -198,7 +210,7 @@ def cmd_spectrum(scn: dict, fmt: str, threads: int, seed: int | None) -> str:
 def cmd_stationary(scn: dict, fmt: str, threads: int, seed: int | None) -> str:
     params = _model(scn)
     betas = _nums(scn, "stationary.beta_values", [params.beta])
-    n = _num(scn, "stationary.n_points", 201, int)
+    n = _count(scn, "stationary.n_points", 201, 2)
     rows = []
     for b in betas:
         p = dataclasses.replace(params, beta=b)
@@ -215,9 +227,9 @@ def cmd_stationary(scn: dict, fmt: str, threads: int, seed: int | None) -> str:
 
 def cmd_transient(scn: dict, fmt: str, threads: int, seed: int | None) -> str:
     params = _model(scn)
-    K = _num(scn, "transient.K", _DEFAULTS["spectral_K"], int)
-    n_times = _num(scn, "transient.n_times", 25, int)
-    n_points = _num(scn, "transient.n_points", 101, int)
+    K = _count(scn, "transient.K", _DEFAULTS["spectral_K"], 1)
+    n_times = _count(scn, "transient.n_times", 25, 1)
+    n_points = _count(scn, "transient.n_points", 101, 2)
     ts = build_transient(params, K=K)
     t_grid = np.linspace(0.0, params.horizon_T, n_times)
     f_grid = uniform_grid(params, n_points)
@@ -255,8 +267,9 @@ def cmd_feasibility(scn: dict, fmt: str, threads: int, seed: int | None) -> str:
 
 def cmd_regime_scan(scn: dict, fmt: str, threads: int, seed: int | None) -> str:
     params = _model(scn)
+    n_betas = _count(scn, "spectral.K", 120, 1)
     beta_e = regime_threshold(params)
-    grid = np.linspace(max(1e-6, 0.05 * beta_e), 2.5 * beta_e, _num(scn, "spectral.K", 120, int))
+    grid = np.linspace(max(1e-6, 0.05 * beta_e), 2.5 * beta_e, n_betas)
     rows = regime_scan(params, grid)
     if fmt == "json":
         return _json_text(
@@ -296,15 +309,6 @@ def _density_values(scn: dict, params: ModelParams, cfg: SimConfig, threads: int
     window = _nums(scn, "density.t_window", [0.0, 1.0])
     if len(window) != 2 or not 0.0 <= window[0] < window[1] <= 1.0:
         raise ValidationError("density.t_window must be [lo, hi] fractions of the horizon")
-    ens = simulate(cfg, threads=threads)
-    if target == "exchange":
-        ts = build_transient(params, K=_num(scn, "transient.K", _DEFAULTS["spectral_K"], int))
-        mat = exchange_paths(ens, ts)
-    else:
-        mat = ens.fundamentals
-    n = mat.shape[1] - 1
-    j0, j1 = int(window[0] * n), int(window[1] * n) + 1
-    values = mat[:, j0:j1].ravel()
     rng_kind = str(dct.get("range", "observed"))
     if rng_kind == "band":
         value_range = (-params.f_bar, params.f_bar)
@@ -312,7 +316,20 @@ def _density_values(scn: dict, params: ModelParams, cfg: SimConfig, threads: int
         value_range = None
     else:
         raise ValidationError(f"unknown density range {rng_kind!r}")
-    n_bins = _num(scn, "density.n_bins", _DEFAULTS["n_bins"], int)
+    n = cfg.n_steps()
+    j0, j1 = int(window[0] * n), int(window[1] * n) + 1
+    n_values = cfg.n_paths * (j1 - j0)
+    n_bins = _count(scn, "density.n_bins", _DEFAULTS["n_bins"], MIN_BINS)
+    if n_bins > n_values:
+        raise ValidationError(f"density.n_bins = {n_bins} exceeds the {n_values} sampled values")
+    K = _count(scn, "transient.K", _DEFAULTS["spectral_K"], 1)
+    ens = simulate(cfg, threads=threads)
+    if target == "exchange":
+        mat = exchange_paths(ens, build_transient(params, K=K))
+    else:
+        mat = ens.fundamentals
+    # mat is a transposed time-major array: order="K" ravels without a copy
+    values = mat[:, j0:j1].ravel(order="K")
     return estimate_density(values, n_bins, value_range), target
 
 
@@ -360,8 +377,8 @@ def cmd_ou(scn: dict, fmt: str, threads: int, seed: int | None) -> str:
     params = _model(scn)
     lam = _num(scn, "ou.lambda_speed", 1.0)
     mu = _num(scn, "ou.mu", 0.0)
-    K = _num(scn, "ou.K", 10, int)
-    n = _num(scn, "ou.n_points", 201, int)
+    K = _count(scn, "ou.K", 10, 1)
+    n = _count(scn, "ou.n_points", 201, 2)
     sol = ou_stationary(lam, mu, params)
     grid = uniform_grid(params, n)
     xs = eval_stationary(sol, grid)

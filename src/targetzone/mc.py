@@ -22,12 +22,17 @@ the natural choice
 against the free-space two-Gaussian-mixture oracle, tanh against the
 closed-form reflected stationary density cosh(beta f)^(2/sigma^2).
 
-Every path owns an :class:`RngStream` keyed by (seed, path index), so
-ensembles are bit-reproducible and independent of thread count.
+Noise comes from one :class:`RngStream` per block of ``BLOCK`` = 256
+paths, keyed by (seed, block index).  Each block draws its paths' normals
+path-major, so path i's noise depends only on (seed, i): not on n_paths,
+not on the thread count.  Ensembles are bit-reproducible, but a seeded
+ensemble differs from the one versions with a stream per path drew at
+the same seed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -52,6 +57,13 @@ __all__ = [
 
 DRIFT_MODES = ("bernoulli", "tanh")
 INTERVENTIONS = ("law", "pure_reflection")
+# paths per noise stream; fixed, never derived from n_paths or threads
+BLOCK = 256
+# fewest histogram bins estimate_density accepts
+MIN_BINS = 10
+# values per eval_stationary call in exchange_paths: large enough to hide
+# the per-call overhead, small enough for its temporaries to stay in cache
+_XS_SLAB = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -69,16 +81,22 @@ class SimConfig:
     def resolved_dt(self) -> float:
         return 1.0 / self.params.alpha if self.dt is None else self.dt
 
+    def n_steps(self) -> int:
+        """Steps over the horizon, at least one; dt must be finite and positive."""
+        dt = self.resolved_dt()
+        if not 0.0 < dt < math.inf:
+            raise DomainError("dt must be positive and finite")
+        return max(1, int(round(self.params.horizon_T / dt)))
 
-def _validate_config(config: SimConfig) -> float:
+
+def _validate_config(config: SimConfig) -> tuple[float, int]:
     validate(config.params)
     if config.n_paths < 1:
         raise DomainError("n_paths must be >= 1")
     if config.seed < 0:
         raise DomainError("seed must be >= 0")
+    n_steps = config.n_steps()
     dt = config.resolved_dt()
-    if dt <= 0.0:
-        raise DomainError("dt must be positive")
     if config.drift_mode not in DRIFT_MODES:
         raise DomainError(f"unknown drift_mode {config.drift_mode!r}")
     if config.intervention not in INTERVENTIONS:
@@ -92,7 +110,7 @@ def _validate_config(config: SimConfig) -> float:
             "matches the expectation-update frequency",
             stacklevel=3,
         )
-    return dt
+    return dt, n_steps
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,16 +135,21 @@ class PathEnsemble:
         return len(self.intervention_times)
 
 
-def _path_noise(seed: int, path_ids: np.ndarray, n_steps: int, bernoulli: bool):
-    """Per-path normals (and leading sign draw) from each path's own stream."""
-    z = np.empty((len(path_ids), n_steps))
-    signs = np.empty(len(path_ids)) if bernoulli else None
-    for row, pid in enumerate(path_ids):
-        gen = RngStream(seed, int(pid)).generator()
-        if bernoulli:
-            signs[row] = 1.0 if gen.random() < 0.5 else -1.0
-        z[row] = gen.standard_normal(n_steps)
-    return z, signs
+def _fill_block(
+    seed: int, block: int, buf: np.ndarray, signs: np.ndarray | None
+) -> None:
+    """Draw paths [block * BLOCK, ...) from stream (seed, block) into ``buf``.
+
+    Signs come first and always a full block of them; the normals follow
+    path-major, one row of n_steps per path.  Path i's draws are thus the
+    same whether its block is full or the partial last one.
+    """
+    lo = block * BLOCK
+    hi = min(lo + BLOCK, buf.shape[1])
+    gen = RngStream(seed, block).generator()
+    if signs is not None:
+        signs[lo:hi] = np.where(gen.random(BLOCK)[: hi - lo] < 0.5, 1.0, -1.0)
+    buf[1:, lo:hi] = gen.standard_normal((hi - lo, buf.shape[0] - 1)).T
 
 
 def _reflect_into(values: np.ndarray, radius: float) -> np.ndarray:
@@ -147,62 +170,61 @@ def _reflect_into(values: np.ndarray, radius: float) -> np.ndarray:
 def simulate(config: SimConfig, *, threads: int = 1) -> PathEnsemble:
     """Simulate the regulated fundamental; bit-identical for any thread count.
 
-    Threads only split the per-path noise generation into chunks; the
-    vectorized time stepping itself is deterministic.
+    Threads map over the 256-path noise blocks, each drawn from stream
+    (seed, block), so path i's noise is the same for any n_paths and any
+    thread count.  The time stepping runs over all paths at once, one
+    contiguous time row per step.
     """
-    dt = _validate_config(config)
+    dt, n_steps = _validate_config(config)
     p = config.params
-    n_steps = max(1, int(round(p.horizon_T / dt)))
     times = np.arange(n_steps + 1) * dt
     n = config.n_paths
     bernoulli = config.drift_mode == "bernoulli"
 
-    path_ids = np.arange(n)
-    if threads <= 1 or n < 2 * threads:
-        z, signs = _path_noise(config.seed, path_ids, n_steps, bernoulli)
+    # time-major buffer: row j + 1 holds step j's normals until the step
+    # overwrites it with the state, so every step reads and writes one
+    # contiguous row; fundamentals is its (n_paths, n_steps + 1) transpose
+    buf = np.empty((n_steps + 1, n))
+    buf[0] = 0.0
+    signs = np.empty(n) if bernoulli else None
+    n_blocks = -(-n // BLOCK)
+    fill = functools.partial(_fill_block, config.seed, buf=buf, signs=signs)
+    if threads <= 1 or n_blocks < 2:
+        for block in range(n_blocks):
+            fill(block)
     else:
-        chunks = np.array_split(path_ids, threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(
-                    lambda ids: _path_noise(config.seed, ids, n_steps, bernoulli),
-                    chunks,
-                )
-            )
-        z = np.vstack([part[0] for part in parts])
-        signs = np.concatenate([part[1] for part in parts]) if bernoulli else None
+        with ThreadPoolExecutor(max_workers=min(threads, n_blocks)) as pool:
+            list(pool.map(fill, range(n_blocks)))
 
     radius = config.kappa * p.f_bar
     sig_dt = p.sigma * math.sqrt(dt)
     beta = p.beta
 
-    funds = np.empty((n, n_steps + 1))
-    funds[:, 0] = 0.0
     ev_paths: list[np.ndarray] = []
     ev_times: list[np.ndarray] = []
     ev_over: list[np.ndarray] = []
 
-    f = np.zeros(n)
     for j in range(n_steps):
+        f = buf[j]
         if bernoulli:
             drift = beta * signs
         else:
             b1 = beta * np.tanh(beta * f)
             b2 = beta * np.tanh(beta * (f + b1 * dt))
             drift = 0.5 * (b1 + b2)
-        pred = f + drift * dt + sig_dt * z[:, j]
-        outside = np.abs(pred) > radius
-        if outside.any():
-            idx = np.nonzero(outside)[0]
+        pred = buf[j + 1]
+        pred *= sig_dt
+        pred += f + drift * dt
+        idx = np.flatnonzero(np.abs(pred) > radius)
+        if idx.size:
+            escaped = pred[idx]
             ev_paths.append(idx)
             ev_times.append(np.full(idx.size, times[j + 1]))
-            ev_over.append(np.abs(pred[idx]) - radius)
+            ev_over.append(np.abs(escaped) - radius)
             if config.intervention == "law":
-                pred = np.clip(pred, -radius, radius)
+                pred[idx] = np.clip(escaped, -radius, radius)
             else:
-                pred = _reflect_into(pred, radius)
-        f = pred
-        funds[:, j + 1] = f
+                pred[idx] = _reflect_into(escaped, radius)
 
     if ev_paths:
         ipaths = np.concatenate(ev_paths)
@@ -215,7 +237,7 @@ def simulate(config: SimConfig, *, threads: int = 1) -> PathEnsemble:
     return PathEnsemble(
         config=config,
         times=times,
-        fundamentals=funds,
+        fundamentals=buf.T,
         intervention_paths=ipaths,
         intervention_times=itimes,
         intervention_overshoots=iover,
@@ -235,16 +257,18 @@ def exchange_paths(ensemble: PathEnsemble, transient: TransientSolution) -> np.n
         raise DomainError("ensemble and transient solution must share params")
     rates = transient.decay_rates()
     amps = np.abs(transient.coeffs)
-    funds = ensemble.fundamentals
-    out = np.empty_like(funds)
+    rows = ensemble.fundamentals.T
+    out = np.empty_like(rows)
+    # X_S is pointwise: evaluate it over slabs of whole time rows
+    slab = max(1, _XS_SLAB // rows.shape[1])
+    for j in range(0, len(rows), slab):
+        out[j : j + slab] = eval_stationary(transient.stationary, rows[j : j + slab])
     for j, t in enumerate(ensemble.times):
         t = min(float(t), p.horizon_T)
-        col = funds[:, j]
-        out[:, j] = eval_stationary(transient.stationary, col)
         tail = float(np.sum(amps * np.exp(-rates * (p.horizon_T - t))))
         if tail > 1e-16:
-            out[:, j] += eval_transient(transient, t, col)
-    return out
+            out[j] += eval_transient(transient, t, rows[j])
+    return out.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,8 +303,8 @@ def estimate_density(
     arr = np.asarray(values, dtype=float).ravel()
     if arr.size == 0:
         raise DomainError("estimate_density needs at least one value")
-    if n_bins < 10:
-        raise DomainError("n_bins must be >= 10")
+    if n_bins < MIN_BINS:
+        raise DomainError(f"n_bins must be >= {MIN_BINS}")
     counts, edges = np.histogram(arr, bins=n_bins, range=value_range)
     if counts.sum() == 0:
         raise DomainError("no values fall inside value_range")

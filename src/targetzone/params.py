@@ -80,8 +80,9 @@ class RngStream:
     """Deterministic random stream addressed by (seed, stream_id).
 
     Identical (seed, stream_id) reproduces identical draws; distinct
-    stream_ids give statistically independent streams.  Every Monte Carlo
-    path owns one stream, so results never depend on thread count.
+    stream_ids give statistically independent streams.  Monte Carlo uses
+    one stream per fixed block of 256 paths, so results never depend on
+    thread count.
     """
 
     seed: int

@@ -101,6 +101,19 @@ MALFORMED = (
     ("simulate", {"sim": {"seed": -3}}, []),
     ("simulate", {}, ["--seed", "-1"]),
     ("spectrum", {"outputs": {"format": "xml"}}, []),
+    ("spectrum", {"outputs": {"path": 5}}, []),
+    ("spectrum", {"spectral": {"K": 0}}, []),
+    ("regime-scan", {"spectral": {"K": -2}}, []),
+    ("transient", {"transient": {"K": 0}}, []),
+    ("transient", {"transient": {"n_times": -1}}, []),
+    ("transient", {"transient": {"n_points": 1}}, []),
+    ("stationary", {"stationary": {"n_points": 1}}, []),
+    ("ou", {"ou": {"K": 0}}, []),
+    ("ou", {"ou": {"n_points": 1}}, []),
+    ("simulate", {"sim": {"n_paths": 0}}, []),
+    ("density", {"sim": {"dt": float("nan")}}, []),
+    # 64 paths x 3 columns = 192 values, fewer than the bins
+    ("density", {"density": {"t_window": [0.0, 0.01], "n_bins": 200}}, []),
 )
 
 

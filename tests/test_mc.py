@@ -6,11 +6,15 @@ import pytest
 from targetzone import (
     DomainError,
     ModelParams,
+    RngStream,
     SimConfig,
     build_transient,
     classify_shape,
     estimate_density,
+    eval_stationary,
+    eval_transient,
     exchange_paths,
+    regime_threshold,
     simulate,
 )
 
@@ -73,6 +77,24 @@ def test_seed_determinism_and_thread_independence():
     assert np.array_equal(a.fundamentals, c.fundamentals)
     d = simulate(quiet_config(seed=100))
     assert not np.array_equal(a.fundamentals, d.fundamentals)
+
+
+@pytest.mark.parametrize("drift_mode", ["tanh", "bernoulli"])
+def test_noise_is_per_path_not_per_ensemble(monkeypatch, drift_mode):
+    # 300 and 600 paths both end in a partial 256-path block; path i's
+    # noise, and so its whole trajectory, depends only on (seed, i)
+    streams = []
+    generator = RngStream.generator
+    monkeypatch.setattr(RngStream, "generator",
+                        lambda self: streams.append(self.stream_id) or generator(self))
+    small = simulate(quiet_config(drift_mode=drift_mode, n_paths=300, seed=5))
+    assert streams == [0, 1]
+    streams.clear()
+    large = simulate(quiet_config(drift_mode=drift_mode, n_paths=600, seed=5), threads=3)
+    assert sorted(streams) == [0, 1, 2]
+    assert np.array_equal(small.fundamentals, large.fundamentals[:300])
+    if drift_mode == "bernoulli":
+        assert np.array_equal(small.bernoulli_signs, large.bernoulli_signs[:300])
 
 
 def test_band_containment_and_intervention_log():
@@ -181,6 +203,28 @@ def test_exchange_paths_terminal_parity():
     from targetzone import eval_stationary
 
     assert np.allclose(X[:, 10], eval_stationary(ts.stationary, ens.fundamentals[:, 10]))
+
+
+def test_exchange_paths_matches_columnwise_reference():
+    # the time-major kernel against X_S + X* evaluated one path column at a
+    # time, in each regime; skipped transient columns are below 1e-16
+    base = ModelParams(alpha=200.0, beta=0.0, sigma=0.1, f_bar=0.1, horizon_T=0.5)
+    beta_e = regime_threshold(base)
+    regimes = set()
+    for beta in (0.5 * beta_e, 2.0 * beta_e):
+        p = ModelParams(alpha=200.0, beta=beta, sigma=0.1, f_bar=0.1, horizon_T=0.5)
+        ts = build_transient(p, K=30)
+        regimes.add(ts.spectrum.regime)
+        ens = simulate(SimConfig(params=p, n_paths=40, dt=1 / 200, drift_mode="tanh",
+                                 intervention="pure_reflection", seed=34, kappa=1.0))
+        X = exchange_paths(ens, ts)
+        assert X.shape == ens.fundamentals.shape
+        for j, t in enumerate(ens.times):
+            col = np.ascontiguousarray(ens.fundamentals[:, j])
+            t = min(float(t), p.horizon_T)
+            ref = eval_stationary(ts.stationary, col) + eval_transient(ts, t, col)
+            assert np.abs(X[:, j] - ref).max() <= 1e-15, (beta, j)
+    assert regimes == {"diffusive", "shifted"}
 
 
 def test_exchange_paths_pinned_at_parity():
