@@ -98,10 +98,15 @@ def load_scenario(path: str | Path) -> dict:
 
 
 def _convert(key: str, value, cast=float):
+    """A JSON number (not a boolean) as ``cast``; ``int`` also needs an integral value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{key} must be a number, got {value!r}")
+    if cast is int and isinstance(value, float) and not value.is_integer():
+        raise ValidationError(f"{key} must be an integer, got {value!r}")
     try:
         return cast(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{key} must be a number, got {value!r}") from None
+    except OverflowError:
+        raise ValidationError(f"{key} is out of range, got {value!r}") from None
 
 
 def _num(scn: dict, key: str, default=None, cast=float):

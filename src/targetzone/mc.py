@@ -8,9 +8,10 @@ with the drift b evaluated in two Heun stages, is pushed back inside the
 intervention radius whenever it escapes.  Two intervention styles are
 supported: "law" clamps the overshooting predictor onto the trigger
 boundary (leaning against the wind); "pure_reflection" mirrors the
-overshoot back inside, iterating the reflection when a single fold does
-not suffice.  The trigger radius is kappa * f_bar: kappa = 1 is marginal
-intervention at the band edge, kappa < 1 intervenes intramarginally.
+overshoot back inside with one closed-form fold, which also covers
+overshoots a single mirror would not bring back.  The trigger radius is
+kappa * f_bar: kappa = 1 is marginal intervention at the band edge,
+kappa < 1 intervenes intramarginally.
 
 The drift comes in two representations of the mean-preserving-spread
 force: "bernoulli" draws a single +-1 sign per path at t = 0 and uses the
@@ -115,24 +116,17 @@ def _validate_config(config: SimConfig) -> tuple[float, int]:
 
 @dataclass(frozen=True, eq=False)
 class PathEnsemble:
-    """Simulated fundamentals plus the intervention log.
+    """Simulated fundamentals and the count of interventions.
 
-    ``fundamentals`` has shape (n_paths, n_steps + 1); interventions are
-    stored flat as parallel arrays (path index, time, overshoot beyond
-    the trigger radius before projection).
+    ``fundamentals`` has shape (n_paths, n_steps + 1); ``n_interventions``
+    counts the (path, step) pairs pushed back inside the trigger radius.
     """
 
     config: SimConfig
     times: np.ndarray
     fundamentals: np.ndarray
-    intervention_paths: np.ndarray
-    intervention_times: np.ndarray
-    intervention_overshoots: np.ndarray
+    n_interventions: int
     bernoulli_signs: np.ndarray | None
-
-    @property
-    def n_interventions(self) -> int:
-        return len(self.intervention_times)
 
 
 def _fill_block(
@@ -153,18 +147,15 @@ def _fill_block(
 
 
 def _reflect_into(values: np.ndarray, radius: float) -> np.ndarray:
-    """Mirror overshoots back inside [-radius, radius], folding repeatedly."""
-    out = values
-    for _ in range(64):
-        outside = (out > radius) | (out < -radius)
-        if not outside.any():
-            return out
-        out = np.where(out > radius, 2.0 * radius - out, out)
-        out = np.where(out < -radius, -2.0 * radius - out, out)
-    # analytic fold for pathological overshoots (period 4*radius)
-    period = 4.0 * radius
-    y = np.mod(out + radius, period)
-    return np.where(y <= 2.0 * radius, y - radius, 3.0 * radius - y)
+    """Mirror overshoots back inside [-radius, radius], any number of folds.
+
+    With m = floor((x + r) / 2r), x - 2rm lies in [-r, r); an odd m means
+    an odd number of mirrors, so the sign flips.  One fold (m = +-1)
+    gives +-2r - x, the single mirror, rounded the same way.
+    """
+    m = np.floor((values + radius) / (2.0 * radius))
+    shift = 2.0 * radius * m
+    return np.where(np.mod(m, 2.0) != 0.0, shift - values, values - shift)
 
 
 def simulate(config: SimConfig, *, threads: int = 1) -> PathEnsemble:
@@ -200,10 +191,7 @@ def simulate(config: SimConfig, *, threads: int = 1) -> PathEnsemble:
     sig_dt = p.sigma * math.sqrt(dt)
     beta = p.beta
 
-    ev_paths: list[np.ndarray] = []
-    ev_times: list[np.ndarray] = []
-    ev_over: list[np.ndarray] = []
-
+    n_interventions = 0
     for j in range(n_steps):
         f = buf[j]
         if bernoulli:
@@ -217,30 +205,17 @@ def simulate(config: SimConfig, *, threads: int = 1) -> PathEnsemble:
         pred += f + drift * dt
         idx = np.flatnonzero(np.abs(pred) > radius)
         if idx.size:
-            escaped = pred[idx]
-            ev_paths.append(idx)
-            ev_times.append(np.full(idx.size, times[j + 1]))
-            ev_over.append(np.abs(escaped) - radius)
+            n_interventions += idx.size
             if config.intervention == "law":
-                pred[idx] = np.clip(escaped, -radius, radius)
+                pred[idx] = np.clip(pred[idx], -radius, radius)
             else:
-                pred[idx] = _reflect_into(escaped, radius)
+                pred[idx] = _reflect_into(pred[idx], radius)
 
-    if ev_paths:
-        ipaths = np.concatenate(ev_paths)
-        itimes = np.concatenate(ev_times)
-        iover = np.concatenate(ev_over)
-    else:
-        ipaths = np.empty(0, dtype=int)
-        itimes = np.empty(0)
-        iover = np.empty(0)
     return PathEnsemble(
         config=config,
         times=times,
         fundamentals=buf.T,
-        intervention_paths=ipaths,
-        intervention_times=itimes,
-        intervention_overshoots=iover,
+        n_interventions=n_interventions,
         bernoulli_signs=signs,
     )
 
@@ -316,17 +291,11 @@ def estimate_density(
 
 
 def _local_maxima(d: np.ndarray) -> np.ndarray:
-    """Indices that top both neighbors (ends count against one neighbor)."""
-    idx = []
-    n = len(d)
-    for i in range(n):
-        left = d[i - 1] if i > 0 else -np.inf
-        right = d[i + 1] if i < n - 1 else -np.inf
-        if d[i] > left and d[i] >= right and d[i] > 0.0:
-            idx.append(i)
-        elif d[i] >= left and d[i] > right and d[i] > 0.0:
-            idx.append(i)
-    return np.unique(np.asarray(idx, dtype=int))
+    """Positive bins as high as both neighbors and higher than one (ends face -inf)."""
+    padded = np.concatenate(([-np.inf], d, [-np.inf]))
+    left, right = padded[:-2], padded[2:]
+    peak = (d >= left) & (d >= right) & ((d > left) | (d > right))
+    return np.flatnonzero(peak & (d > 0.0))
 
 
 def classify_shape(d: DensityEstimate) -> str:
@@ -357,16 +326,14 @@ def classify_shape(d: DensityEstimate) -> str:
 
     edge_region = (centers - lo <= 0.10 * span) | (hi - centers <= 0.10 * span)
     maxima = _local_maxima(dens)
-    if maxima.size:
-        edge_peaks = [i for i in maxima if edge_region[i]]
-        inner_peaks = [i for i in maxima if not edge_region[i]]
-        if edge_peaks and inner_peaks:
-            e = max(edge_peaks, key=lambda i: dens[i])
-            c = max(inner_peaks, key=lambda i: dens[i])
-            a, b = sorted((e, c))
-            valley = dens[a : b + 1].min()
-            if dens[e] > 1.2 * valley and dens[c] > 1.2 * valley:
-                return "two_regime"
+    edge_peaks = maxima[edge_region[maxima]]
+    inner_peaks = maxima[~edge_region[maxima]]
+    if edge_peaks.size and inner_peaks.size:
+        e = edge_peaks[np.argmax(dens[edge_peaks])]
+        c = inner_peaks[np.argmax(dens[inner_peaks])]
+        valley = dens[min(e, c) : max(e, c) + 1].min()
+        if dens[e] > 1.2 * valley and dens[c] > 1.2 * valley:
+            return "two_regime"
 
     # outer decile = outermost 5% of the range at each end (10% in total),
     # mirroring the central decile around the midpoint

@@ -18,9 +18,9 @@ built on the confluent hypergeometric function (:class:`OUStationary`)
 live here as well, each as its own type.
 
 Internally the homogeneous terms are carried in boundary-anchored form,
-A~ e^{r (f - f_high)} and B~ e^{-r (f - f_low)}, whose exponents never
-exceed zero on the band; combined with exp-difference hyperbolic ratios
-this makes evaluation overflow-free at any stiffness.
+A~ e^{r (f - f_bar)} and B~ e^{-r (f + f_bar)}, whose exponents never
+exceed zero on the band [-f_bar, f_bar]; combined with exp-difference
+hyperbolic ratios this makes evaluation overflow-free at any stiffness.
 """
 
 from __future__ import annotations
@@ -49,15 +49,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StationarySolution:
-    """Smooth-pasted DMPS stationary solution on the band [f_low, f_high].
+    """Smooth-pasted DMPS stationary solution on the band [-f_bar, f_bar].
 
     ``a_anchor`` and ``b_anchor`` multiply the boundary-anchored terms
-    e^{r (f - f_high)} and e^{-r (f - f_low)}.
+    e^{r (f - f_bar)} and e^{-r (f + f_bar)}.
     """
 
     params: ModelParams
-    f_low: float
-    f_high: float
     a_anchor: float
     b_anchor: float
 
@@ -131,8 +129,8 @@ def _anchored_terms(sol: StationarySolution, arr: np.ndarray):
     r = _growth_rate(p)
     bf = np.abs(p.beta * arr)
     sech_gain = 2.0 / (1.0 + np.exp(-2.0 * bf))
-    e_plus = sol.a_anchor * np.exp(r * (arr - sol.f_high) - bf) * sech_gain
-    e_minus = sol.b_anchor * np.exp(-r * (arr - sol.f_low) - bf) * sech_gain
+    e_plus = sol.a_anchor * np.exp(r * (arr - p.f_bar) - bf) * sech_gain
+    e_minus = sol.b_anchor * np.exp(-r * (arr + p.f_bar) - bf) * sech_gain
     return e_plus, e_minus, r
 
 
@@ -143,13 +141,11 @@ def _sine_moments(sol: StationarySolution, u: np.ndarray) -> np.ndarray:
     elementary.  With k = u / f_bar the homogeneous pair integrates in
     anchored form with E = e^{-2 r f_bar} <= 1; the particular part uses
     J_s = int sinh(beta f) sin(k f) df and its beta-derivative
-    J_c = int f cosh(beta f) sin(k f) df.  Symmetric band only.
+    J_c = int f cosh(beta f) sin(k f) df.
     """
     p = sol.params
     if not isinstance(sol, StationarySolution):
         raise DomainError("sine moments need the dmps stationary solution")
-    if (sol.f_low, sol.f_high) != (-p.f_bar, p.f_bar):
-        raise DomainError("sine moments need the symmetric band (-f_bar, f_bar)")
     fb, b = p.f_bar, p.beta
     r = _growth_rate(p)
     d = _forcing_scale(p)
@@ -168,37 +164,31 @@ def _sine_moments(sol: StationarySolution, u: np.ndarray) -> np.ndarray:
     return homog + (2.0 * p.alpha / d**2) * (d * j_c + 2.0 * b * p.sigma**2 * j_s)
 
 
-def solve_smooth_pasting(
-    params: ModelParams, band: tuple[float, float] | None = None
-) -> StationarySolution:
-    """Stationary solution with zero slope at both band edges.
+def solve_smooth_pasting(params: ModelParams) -> StationarySolution:
+    """Stationary solution with zero slope at both band edges +-f_bar.
 
-    ``band`` defaults to the symmetric (-f_bar, +f_bar); general bands are
-    accepted since the edges enter only through the 2x2 system for (A, B).
-    The system is assembled in boundary-anchored variables so its scale
-    stays O(1), solved by elimination with partial pivoting, and raises
-    :class:`SingularSystemError` below determinant 1e-14.
+    The 2x2 system for (A, B) is assembled in boundary-anchored variables
+    so its scale stays O(1), solved by elimination with partial pivoting,
+    and raises :class:`SingularSystemError` below determinant 1e-14.
     """
     validate(params)
-    f_lo, f_hi = band if band is not None else (-params.f_bar, params.f_bar)
-    if not f_lo < f_hi:
-        raise DomainError("band edges must satisfy f_low < f_high")
+    fb = params.f_bar
     r = _growth_rate(params)
     b = params.beta
 
     # Y-space slope conditions at each edge, unknowns anchored at the
-    # opposite boundary: u(f) = At*e^{r(f-f_hi)} + Bt*e^{-r(f-f_lo)} + Y_P(f)
+    # opposite boundary: u(f) = At*e^{r(f-fb)} + Bt*e^{-r(f+fb)} + Y_P(f)
     rows = []
     rhs = []
-    for f_star in (f_hi, f_lo):
+    for f_star in (fb, -fb):
         if abs(b * f_star) > 700.0:
             raise OverflowError("smooth-pasting amplitudes exceed the floating range")
         t = math.tanh(b * f_star)
         ch = math.cosh(b * f_star)
         rows.append(
             [
-                (r - b * t) * math.exp(r * (f_star - f_hi)),
-                (-r - b * t) * math.exp(-r * (f_star - f_lo)),
+                (r - b * t) * math.exp(r * (f_star - fb)),
+                (-r - b * t) * math.exp(-r * (f_star + fb)),
             ]
         )
         rhs.append(-ch * float(_particular_d1(params, f_star)))
@@ -216,7 +206,7 @@ def solve_smooth_pasting(
         fac = m11 / m21
         bt = (rhs[0] - fac * rhs[1]) / (m12 - fac * m22)
         at = (rhs[1] - m22 * bt) / m21
-    return StationarySolution(params=params, f_low=f_lo, f_high=f_hi, a_anchor=at, b_anchor=bt)
+    return StationarySolution(params=params, a_anchor=at, b_anchor=bt)
 
 
 def gaussian_stationary(params: ModelParams) -> GaussianStationary:
@@ -305,12 +295,8 @@ def _ou_particular_d1(lambda_speed, mu, params) -> float:
 
 def _check_band(sol: _Stationary, f) -> np.ndarray:
     arr = np.asarray(f, dtype=float)
-    if isinstance(sol, StationarySolution):
-        lo, hi = sol.f_low, sol.f_high
-    else:
-        lo, hi = -sol.params.f_bar, sol.params.f_bar
-    tol = 1e-12 * max(1.0, abs(hi), abs(lo))
-    if np.any(arr < lo - tol) or np.any(arr > hi + tol):
+    fb = sol.params.f_bar
+    if np.any(np.abs(arr) > fb + 1e-12 * max(1.0, fb)):
         raise DomainError("fundamental outside the band")
     return arr
 

@@ -71,8 +71,8 @@ def mode_norm(u, f_bar: float):
 def fourier_coeffs(sol: StationarySolution, spectrum: Spectrum) -> np.ndarray:
     """Expansion coefficients of -X_S over the sine eigenmodes, all K at once.
 
-    Needs the dmps stationary solution on the symmetric band; any other
-    solution raises :class:`DomainError`.
+    Needs the dmps stationary solution; a Gaussian or mean-reverting one
+    raises :class:`DomainError`.
     """
     if sol.params is not spectrum.params and sol.params != spectrum.params:
         raise DomainError("stationary solution and spectrum must share params")

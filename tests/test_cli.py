@@ -96,6 +96,11 @@ MALFORMED = (
     ("feasibility", {"model": {"alpha": "x"}}, []),
     ("feasibility", {"model": {"alpha": None}}, []),
     ("simulate", {"sim": {"n_paths": "many"}}, []),
+    ("simulate", {"sim": {"n_paths": 2.7}}, []),
+    ("spectrum", {"spectral": {"K": 3.9}}, []),
+    ("feasibility", {"model": {"alpha": "0.8"}}, []),
+    ("feasibility", {"model": {"beta": True}}, []),
+    ("simulate", {"sim": {"seed": 1.5}}, []),
     ("density", {"density": {"t_window": 5}}, []),
     ("stationary", {"stationary": {"beta_values": 1.0}}, []),
     ("simulate", {"sim": {"seed": -3}}, []),

@@ -17,6 +17,7 @@ from targetzone import (
     regime_threshold,
     simulate,
 )
+from targetzone.mc import _local_maxima, _reflect_into
 
 
 def quiet_config(**kw):
@@ -98,14 +99,38 @@ def test_noise_is_per_path_not_per_ensemble(monkeypatch, drift_mode):
 
 
 def test_band_containment_and_intervention_log():
-    ens = simulate(quiet_config(n_paths=300, seed=3))
+    ens = simulate(quiet_config(n_paths=300, seed=3, intervention="law"))
     radius = ens.config.kappa * ens.config.params.f_bar
-    assert np.abs(ens.fundamentals).max() <= radius + 1e-12
-    # every boundary contact was logged as an intervention
-    at_boundary = int(np.sum(np.isclose(np.abs(ens.fundamentals[:, 1:]), radius)))
-    assert ens.n_interventions >= at_boundary
-    assert np.all(ens.intervention_overshoots > 0)
-    assert np.all(ens.intervention_times[ens.intervention_paths == 0] > 0)
+    f = ens.fundamentals
+    assert np.abs(f).max() <= radius
+    # the law clamps every escape onto the trigger boundary and nothing else
+    assert ens.n_interventions > 0
+    assert ens.n_interventions == np.sum(np.abs(f[:, 1:]) == radius)
+
+
+def _mirror(x, r):
+    """Reference reflection: one mirror per pass until every value is inside."""
+    out = x.copy()
+    while np.any(np.abs(out) > r):
+        out = np.where(out > r, 2.0 * r - out, out)
+        out = np.where(out < -r, -2.0 * r - out, out)
+    return out
+
+
+def test_reflection_fold_matches_iterative_mirror():
+    rng = np.random.default_rng(12)
+    n = 100_000
+    for r in (0.02, 0.09, 0.1):
+        # a single fold brings these back: the closed form rounds like one mirror
+        x = rng.uniform(r, 3.0 * r, n) * rng.choice([-1.0, 1.0], n)
+        x = x[np.abs(x) > r]
+        assert np.array_equal(_reflect_into(x, r), _mirror(x, r))
+    # fig8's trigger radius, where multi-fold overshoots occur
+    r = 0.02
+    x = rng.uniform(3.0 * r, 50.0 * r, n) * rng.choice([-1.0, 1.0], n)
+    out = _reflect_into(x, r)
+    assert np.abs(out - _mirror(x, r)).max() <= 1e-15
+    assert np.abs(out).max() <= r + 1e-15
 
 
 def test_bernoulli_signs_recorded_once_per_path():
@@ -315,6 +340,14 @@ def test_classify_synthetic_shapes():
 
     flat_vals = rng.uniform(-1.0, 1.0, n)
     assert classify_shape(estimate_density(flat_vals, 61)) == "ambiguous"
+
+    # peak finder: a two-bin plateau counts both bins, a longer one neither
+    # of its inner bins; end bins face one neighbor; empty bins never peak
+    assert _local_maxima(np.array([0.0, 1.0, 1.0, 0.0])).tolist() == [1, 2]
+    assert _local_maxima(np.array([0.0, 1.0, 1.0, 1.0, 0.0])).tolist() == [1, 3]
+    assert _local_maxima(np.array([2.0, 1.0, 0.5, 3.0])).tolist() == [0, 3]
+    assert _local_maxima(np.zeros(5)).tolist() == []
+    assert _local_maxima(np.array([0.0, 0.0, 0.4, 0.0, 0.0])).tolist() == [2]
 
 
 def test_classifier_priority_dirac_over_hump():

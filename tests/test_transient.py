@@ -119,8 +119,6 @@ def test_projection_refuses_unsupported_solutions():
         fourier_coeffs(gaussian_stationary(flat), build_spectrum(flat, 5))
     with pytest.raises(DomainError):
         fourier_coeffs(ou_stationary(1.0, 0.02, REF), build_spectrum(REF, 5))
-    with pytest.raises(DomainError):
-        fourier_coeffs(solve_smooth_pasting(REF, band=(-0.05, 0.1)), build_spectrum(REF, 5))
 
 
 def test_coefficients_decay():
