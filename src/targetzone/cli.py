@@ -1,11 +1,12 @@
 """Command-line front end: scenario JSON in, CSV/JSON data out.
 
-Each subcommand reads one scenario file, runs the corresponding solver or
-simulation, and writes a single output file atomically (temp file plus
-rename, so partial outputs never appear).  Every run is deterministic
-given the scenario and seed; ``--threads`` never changes numbers, only
-how many of the 256-path noise blocks, each keyed by (seed, block), are
-drawn at once.
+Each subcommand reads one scenario file and runs the corresponding solver
+or simulation.  A command only returns its data, once: a JSON document
+plus a CSV header and rows.  ``run_command`` alone picks the format and
+writes the single output file atomically (temp file plus rename, so
+partial outputs never appear).  Every run is deterministic given the
+scenario and seed; ``--threads`` never changes numbers, only how many of
+the 256-path noise blocks, each keyed by (seed, block), are drawn at once.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
 """
@@ -63,7 +64,6 @@ _FORMATS = ("csv", "json")
 _DEFAULTS = {
     "spectral_K": 50,
     "n_bins": 61,
-    "kappa": 0.9,
 }
 
 
@@ -147,16 +147,17 @@ def _model(scn: dict) -> ModelParams:
 
 
 def _sim_config(scn: dict, params: ModelParams, seed_override: int | None) -> SimConfig:
+    """``sim`` section over the ``SimConfig`` defaults; counts range-checked here."""
     s = scn.get("sim", {})
-    seed = _num(scn, "sim.seed", 0, int) if seed_override is None else seed_override
+    seed = _num(scn, "sim.seed", SimConfig.seed, int) if seed_override is None else seed_override
     return SimConfig(
         params=params,
-        n_paths=_count(scn, "sim.n_paths", 5000, 1),
+        n_paths=_count(scn, "sim.n_paths", SimConfig.n_paths, 1),
         dt=None if s.get("dt") is None else _num(scn, "sim.dt"),
-        drift_mode=str(s.get("drift_mode", "tanh")),
-        intervention=str(s.get("intervention", "pure_reflection")),
+        drift_mode=str(s.get("drift_mode", SimConfig.drift_mode)),
+        intervention=str(s.get("intervention", SimConfig.intervention)),
         seed=seed,
-        kappa=_num(scn, "sim.kappa", _DEFAULTS["kappa"]),
+        kappa=_num(scn, "sim.kappa", SimConfig.kappa),
     )
 
 
@@ -189,8 +190,23 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def cmd_spectrum(scn: dict, fmt: str, threads: int, seed: int | None) -> str:
-    params = _model(scn)
+# A command returns (json_doc, csv_header, csv_rows); json_doc is a thunk, so
+# the per-row objects of a table are built only when JSON is written.
+
+
+def _table(header: list[str], rows: list[tuple], **meta):
+    """Rows under ``header``; the JSON view is ``meta`` plus one object per row."""
+    return (lambda: {**meta, "rows": [dict(zip(header, r)) for r in rows]}), header, rows
+
+
+def _record(payload: dict):
+    """One JSON object; its CSV is one row under the sorted keys, non-floats as ``str``."""
+    keys = sorted(payload)
+    row = tuple(v if isinstance(v, float) else str(v) for v in map(payload.get, keys))
+    return (lambda: payload), keys, [row]
+
+
+def cmd_spectrum(scn: dict, params: ModelParams, threads: int, seed: int | None):
     K = _count(scn, "spectral.K", _DEFAULTS["spectral_K"], 1)
     spec = build_spectrum(params, K)
     us = np.sqrt(2.0) * spec.eigenvalues * params.f_bar / params.sigma
@@ -198,62 +214,40 @@ def cmd_spectrum(scn: dict, fmt: str, threads: int, seed: int | None) -> str:
         (k + 1, spec.eigenvalues[k], us[k], spec.brackets[k][0], spec.brackets[k][1], spec.regime)
         for k in range(K)
     ]
-    if fmt == "json":
-        return _json_text(
-            {
-                "regime": spec.regime,
-                "spread_coefficient": spread_coefficient(params),
-                "rows": [
-                    dict(zip(("k", "omega", "u", "bracket_lo", "bracket_hi", "regime"), r))
-                    for r in rows
-                ],
-            }
-        )
-    return _csv(["k", "omega", "u", "bracket_lo", "bracket_hi", "regime"], rows)
+    return _table(
+        ["k", "omega", "u", "bracket_lo", "bracket_hi", "regime"],
+        rows,
+        regime=spec.regime,
+        spread_coefficient=spread_coefficient(params),
+    )
 
 
-def cmd_stationary(scn: dict, fmt: str, threads: int, seed: int | None) -> str:
-    params = _model(scn)
+def cmd_stationary(scn: dict, params: ModelParams, threads: int, seed: int | None):
     betas = _nums(scn, "stationary.beta_values", [params.beta])
     n = _count(scn, "stationary.n_points", 201, 2)
     rows = []
     for b in betas:
         p = dataclasses.replace(params, beta=b)
-        sol = solve_smooth_pasting(p)
         grid = uniform_grid(p, n)
-        xs = eval_stationary(sol, grid)
+        xs = eval_stationary(solve_smooth_pasting(p), grid)
         rows.extend((b, f, x) for f, x in zip(grid, xs))
-    if fmt == "json":
-        return _json_text(
-            {"rows": [dict(zip(("beta", "f", "x"), r)) for r in rows]}
-        )
-    return _csv(["beta", "f", "x"], rows)
+    return _table(["beta", "f", "x"], rows)
 
 
-def cmd_transient(scn: dict, fmt: str, threads: int, seed: int | None) -> str:
-    params = _model(scn)
+def cmd_transient(scn: dict, params: ModelParams, threads: int, seed: int | None):
     K = _count(scn, "transient.K", _DEFAULTS["spectral_K"], 1)
     n_times = _count(scn, "transient.n_times", 25, 1)
     n_points = _count(scn, "transient.n_points", 101, 2)
-    ts = build_transient(params, K=K)
     t_grid = np.linspace(0.0, params.horizon_T, n_times)
     f_grid = uniform_grid(params, n_points)
-    mat = surface(ts, t_grid, f_grid)
-    rows = [
-        (t, f, mat[i, j])
-        for i, t in enumerate(t_grid)
-        for j, f in enumerate(f_grid)
-    ]
-    if fmt == "json":
-        return _json_text({"rows": [dict(zip(("t", "f", "x"), r)) for r in rows]})
-    return _csv(["t", "f", "x"], rows)
+    mat = surface(build_transient(params, K=K), t_grid, f_grid)
+    rows = [(t, f, mat[i, j]) for i, t in enumerate(t_grid) for j, f in enumerate(f_grid)]
+    return _table(["t", "f", "x"], rows)
 
 
-def cmd_feasibility(scn: dict, fmt: str, threads: int, seed: int | None) -> str:
-    params = _model(scn)
-    spec = build_spectrum(params, 1)
-    rep = relaxation_time(spec)
-    payload = {
+def cmd_feasibility(scn: dict, params: ModelParams, threads: int, seed: int | None):
+    rep = relaxation_time(build_spectrum(params, 1))
+    return _record({
         "omega1": rep.omega1,
         "t_relax": rep.t_relax,
         "lower_bound": rep.lower_bound,
@@ -263,50 +257,33 @@ def cmd_feasibility(scn: dict, fmt: str, threads: int, seed: int | None) -> str:
         "sandwich_ok": rep.sandwich_ok,
         "horizon_T": params.horizon_T,
         "regime_threshold_beta": regime_threshold(params),
-    }
-    if fmt == "csv":
-        keys = sorted(payload)
-        return _csv(keys, [tuple(str(payload[k]) if isinstance(payload[k], (bool, str)) else payload[k] for k in keys)])
-    return _json_text(payload)
+    })
 
 
-def cmd_regime_scan(scn: dict, fmt: str, threads: int, seed: int | None) -> str:
-    params = _model(scn)
+def cmd_regime_scan(scn: dict, params: ModelParams, threads: int, seed: int | None):
     n_betas = _count(scn, "spectral.K", 120, 1)
     beta_e = regime_threshold(params)
     grid = np.linspace(max(1e-6, 0.05 * beta_e), 2.5 * beta_e, n_betas)
-    rows = regime_scan(params, grid)
-    if fmt == "json":
-        return _json_text(
-            {
-                "regime_threshold_beta": beta_e,
-                "rows": [dict(zip(("beta", "omega1", "t_relax", "regime"), r)) for r in rows],
-            }
-        )
-    return _csv(["beta", "omega1", "t_relax", "regime"], rows)
+    return _table(
+        ["beta", "omega1", "t_relax", "regime"],
+        regime_scan(params, grid),
+        regime_threshold_beta=beta_e,
+    )
 
 
-def cmd_simulate(scn: dict, fmt: str, threads: int, seed: int | None) -> str:
-    params = _model(scn)
+def cmd_simulate(scn: dict, params: ModelParams, threads: int, seed: int | None):
     cfg = _sim_config(scn, params, seed)
     ens = simulate(cfg, threads=threads)
-    sample = min(5, cfg.n_paths)
     rows = [
         (p, t, ens.fundamentals[p, j])
-        for p in range(sample)
+        for p in range(min(5, cfg.n_paths))
         for j, t in enumerate(ens.times)
     ]
-    if fmt == "json":
-        return _json_text(
-            {
-                "n_interventions": int(ens.n_interventions),
-                "rows": [dict(zip(("path", "t", "f"), r)) for r in rows],
-            }
-        )
-    return _csv(["path", "t", "f"], rows)
+    return _table(["path", "t", "f"], rows, n_interventions=int(ens.n_interventions))
 
 
-def _density_values(scn: dict, params: ModelParams, cfg: SimConfig, threads: int):
+def cmd_density(scn: dict, params: ModelParams, threads: int, seed: int | None):
+    cfg = _sim_config(scn, params, seed)
     dct = scn.get("density", {})
     target = str(dct.get("target", "exchange"))
     if target not in ("exchange", "fundamental"):
@@ -334,52 +311,33 @@ def _density_values(scn: dict, params: ModelParams, cfg: SimConfig, threads: int
     else:
         mat = ens.fundamentals
     # mat is a transposed time-major array: order="K" ravels without a copy
-    values = mat[:, j0:j1].ravel(order="K")
-    return estimate_density(values, n_bins, value_range), target
-
-
-def cmd_density(scn: dict, fmt: str, threads: int, seed: int | None) -> str:
-    params = _model(scn)
-    cfg = _sim_config(scn, params, seed)
-    dens, target = _density_values(scn, params, cfg, threads)
+    dens = estimate_density(mat[:, j0:j1].ravel(order="K"), n_bins, value_range)
     shape = classify_shape(dens)
-    if fmt == "json":
-        return _json_text(
-            {
-                "target": target,
-                "classification": shape,
-                "bin_edges": [float(e) for e in dens.bin_edges],
-                "density": [float(v) for v in dens.density],
-            }
-        )
-    rows = [
-        (dens.bin_edges[i], dens.bin_edges[i + 1], dens.centers[i], dens.density[i], shape)
-        for i in range(dens.n_bins)
-    ]
-    return _csv(["bin_lo", "bin_hi", "center", "density", "shape"], rows)
+    edges = dens.bin_edges
+    doc = {
+        "target": target,
+        "classification": shape,
+        "bin_edges": [float(e) for e in edges],
+        "density": [float(v) for v in dens.density],
+    }
+    rows = [(*r, shape) for r in zip(edges[:-1], edges[1:], dens.centers, dens.density)]
+    return (lambda: doc), ["bin_lo", "bin_hi", "center", "density", "shape"], rows
 
 
-def cmd_honeymoon(scn: dict, fmt: str, threads: int, seed: int | None) -> str:
-    params = _model(scn)
+def cmd_honeymoon(scn: dict, params: ModelParams, threads: int, seed: int | None):
     F = _num(scn, "honeymoon.F", params.f_bar)
     omega = _num(scn, "honeymoon.omega", 0.0)
     rep = classify_honeymoon(params, F, omega)
-    payload = {
+    return _record({
         "W": rep.W,
-        "Wc": rep.Wc,
         "applicable": rep.applicable,
         "status": rep.status,
         "spread_coefficient": spread_coefficient(params),
         "regime_threshold_beta": regime_threshold(params),
-    }
-    if fmt == "csv":
-        keys = sorted(payload)
-        return _csv(keys, [tuple(str(payload[k]) if not isinstance(payload[k], float) else payload[k] for k in keys)])
-    return _json_text(payload)
+    })
 
 
-def cmd_ou(scn: dict, fmt: str, threads: int, seed: int | None) -> str:
-    params = _model(scn)
+def cmd_ou(scn: dict, params: ModelParams, threads: int, seed: int | None):
     lam = _num(scn, "ou.lambda_speed", 1.0)
     mu = _num(scn, "ou.mu", 0.0)
     K = _count(scn, "ou.K", 10, 1)
@@ -387,18 +345,15 @@ def cmd_ou(scn: dict, fmt: str, threads: int, seed: int | None) -> str:
     sol = ou_stationary(lam, mu, params)
     grid = uniform_grid(params, n)
     xs = eval_stationary(sol, grid)
-    omegas = ou_asymptotic_spectrum(lam, mu, params, K)
-    payload = {
+    doc = {
         "A": sol.A,
         "B": sol.B,
         "lambda_speed": lam,
         "mu": mu,
-        "asymptotic_spectrum": [float(w) for w in omegas],
+        "asymptotic_spectrum": [float(w) for w in ou_asymptotic_spectrum(lam, mu, params, K)],
         "curve": {"f": [float(f) for f in grid], "x": [float(x) for x in xs]},
     }
-    if fmt == "csv":
-        return _csv(["f", "x"], list(zip(grid, xs)))
-    return _json_text(payload)
+    return (lambda: doc), ["f", "x"], list(zip(grid, xs))
 
 
 _COMMANDS = {
@@ -436,8 +391,8 @@ def run_command(
     if fmt not in _FORMATS:
         raise ValidationError(f"unknown format {fmt!r}")
     target = Path(out_path) if out_path else Path(out.get("path", f"{command}.{fmt}"))
-    text = func(scn, fmt, threads, seed)
-    _write_atomic(target, text)
+    doc, header, rows = func(scn, _model(scn), threads, seed)
+    _write_atomic(target, _json_text(doc()) if fmt == "json" else _csv(header, rows))
     return target
 
 

@@ -10,15 +10,14 @@ mean-preserving-spread model the trial solution
 fits smoothly at a contact W solving a two-equation system in (a, W); the
 amplitude denominator involves
 
-    Delta(W) = rho tanh(rho W) - beta tanh(beta W),
+    Delta(W) = rho tanh(rho W) - beta tanh(beta W).
 
-whose smallest positive zero W_c (when one exists) bounds the region
-where smooth fitting is usable: case (a) W_c < W rules it out, case (b)
-W_c >= W permits it.  Under the hyperbolic-tangent reading Delta > 0 for
-all W > 0 whenever rho > beta, so no W_c exists and the case split is
-decided by treating W_c as +infinity -- except that a shifted spectral
-regime (beta * f_bar * tanh(beta * f_bar) > 1) independently rules the
-smooth fit out, which is what the applicability verdict gates on.
+A zero W_c of Delta below W would rule the smooth fit out, but none
+exists: x -> x tanh(x W) is strictly increasing in x for W > 0, and
+alpha > 0 makes rho > beta, so Delta(W) > 0 for every W > 0.  The
+applicability verdict is therefore decided by the spectral regime alone:
+a shifted regime (beta * f_bar * tanh(beta * f_bar) > 1) rules the smooth
+fit out.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ class ContactReport:
     """Smooth-fit contact point and honeymoon applicability verdict."""
 
     W: float | None
-    Wc: float | None
     applicable: bool
     status: str  # "ok" | "inconclusive"
 
@@ -94,13 +92,12 @@ def _contact_residual(W: float, F: float, omega: float, params: ModelParams) -> 
 def classify_honeymoon(
     params: ModelParams, F: float, omega: float = 0.0
 ) -> ContactReport:
-    """Contact point, critical point, and whether smooth fitting applies.
+    """Contact point and whether smooth fitting applies.
 
     The verdict is False when the spectral regime has shifted (the first
-    eigenvalue bracket is empty, so pasting at the band has no solution)
-    or when a critical point W_c exists below the contact point W.  A
-    missing W_c counts as W_c = +infinity.  Root-search failures yield an
-    explicit "inconclusive" report, never a silent classification.
+    eigenvalue bracket is empty, so pasting at the band has no solution).
+    Root-search failures yield an explicit "inconclusive" report, never a
+    silent classification.
     """
     validate(params)
     if F <= 0.0:
@@ -121,25 +118,5 @@ def classify_honeymoon(
         W = None
         status = "inconclusive"
 
-    Wc: float | None = None
-    if params.beta > 0.0:
-        grid = np.linspace(0.0, 10.0 * (F + 1.0), 2001)
-        signs = np.sign(delta_profile(params, grid)[1:])
-        flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
-        if flips.size:
-            i = int(flips[0]) + 1
-            Wc = bisect_newton(
-                lambda w: float(delta_profile(params, w)),
-                float(grid[i]),
-                float(grid[i + 1]),
-                ftol=1e-12,
-            )
-
-    if status == "inconclusive":
-        applicable = False
-    else:
-        shifted = spread_coefficient(params) > 1.0
-        below_critical = Wc is not None and W is not None and Wc < W
-        applicable = not shifted and not below_critical
-
-    return ContactReport(W=W, Wc=Wc, applicable=applicable, status=status)
+    applicable = status == "ok" and spread_coefficient(params) <= 1.0
+    return ContactReport(W=W, applicable=applicable, status=status)

@@ -252,7 +252,6 @@ class DensityEstimate:
 
     bin_edges: np.ndarray
     density: np.ndarray
-    n_bins: int
 
     @property
     def centers(self) -> np.ndarray:
@@ -287,7 +286,7 @@ def estimate_density(
     widths = np.diff(edges)
     density = counts / (counts.sum() * widths)
     density = density / np.trapezoid(density, centers)
-    return DensityEstimate(bin_edges=edges, density=density, n_bins=n_bins)
+    return DensityEstimate(bin_edges=edges, density=density)
 
 
 def _local_maxima(d: np.ndarray) -> np.ndarray:

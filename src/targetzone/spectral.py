@@ -28,7 +28,8 @@ plain arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,7 +93,7 @@ class FeasibilityReport:
     upper_bound: float
     feasible: bool
     regime: str
-    sandwich_ok: bool = field(default=True)
+    sandwich_ok: bool
 
 
 def _u_cot_u(u: float) -> float:
@@ -209,15 +210,7 @@ def regime_scan(
         raise DomainError("beta_grid must be strictly ascending")
     rows = []
     for b in betas:
-        p = ModelParams(
-            alpha=params.alpha,
-            beta=float(b),
-            sigma=params.sigma,
-            f_bar=params.f_bar,
-            horizon_T=params.horizon_T,
-            r_share=params.r_share,
-        )
-        spec = build_spectrum(p, 1)
+        spec = build_spectrum(dataclasses.replace(params, beta=float(b)), 1)
         rep = relaxation_time(spec)
         rows.append((float(b), rep.omega1, rep.t_relax, spec.regime))
     return rows

@@ -41,7 +41,6 @@ __all__ = [
     "eval_transient",
     "eval_full",
     "surface",
-    "mode_norm",
 ]
 
 
@@ -63,11 +62,6 @@ def _u_values(spectrum: Spectrum) -> np.ndarray:
     return math.sqrt(2.0) * spectrum.eigenvalues * p.f_bar / p.sigma
 
 
-def mode_norm(u, f_bar: float):
-    """Closed-form L2 norm: integral of sin(u f / f_bar)^2 over the band."""
-    return f_bar * (1.0 - np.sin(2.0 * u) / (2.0 * u))
-
-
 def fourier_coeffs(sol: StationarySolution, spectrum: Spectrum) -> np.ndarray:
     """Expansion coefficients of -X_S over the sine eigenmodes, all K at once.
 
@@ -77,7 +71,9 @@ def fourier_coeffs(sol: StationarySolution, spectrum: Spectrum) -> np.ndarray:
     if sol.params is not spectrum.params and sol.params != spectrum.params:
         raise DomainError("stationary solution and spectrum must share params")
     us = _u_values(spectrum)
-    return -_sine_moments(sol, us) / mode_norm(us, spectrum.params.f_bar)
+    # closed-form L2 norm of each mode: integral of sin(u f / f_bar)^2 over the band
+    norms = spectrum.params.f_bar * (1.0 - np.sin(2.0 * us) / (2.0 * us))
+    return -_sine_moments(sol, us) / norms
 
 
 def build_transient(params: ModelParams, K: int = 50) -> TransientSolution:

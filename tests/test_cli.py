@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -237,3 +238,62 @@ def test_outputs_format_applies_to_the_scenario_output(tmp_path):
     # --out names another file, so the scenario's format does not apply
     out = run_command("spectrum", scn, tmp_path / "other.out")
     assert out.read_text().startswith("k,omega,u,")
+
+
+# the shipped-scenario runs of the benchmark's scenario_cli workload
+SCENARIO_RUNS = (
+    ("spectrum", "spectrum_narrow"),
+    ("spectrum", "spectrum_wide"),
+    ("spectrum", "eigenvalue_jump"),
+    ("stationary", "fig2_stationary"),
+    ("transient", "fig3_transient"),
+    ("ou", "ou_stationary"),
+    ("regime-scan", "regimeshift_narrow"),
+    ("regime-scan", "regimeshift_wide"),
+    ("feasibility", "spectrum_narrow"),
+    ("honeymoon", "spectrum_narrow"),
+)
+
+
+def _cell(text):
+    """A CSV cell as the JSON value it stands for: a number where it parses as one."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _both_formats(tmp_path, command, scn):
+    stem = tmp_path / f"{command}-{scn.stem}"
+    csv_out = run_command(command, scn, stem.with_suffix(".csv"), fmt="csv")
+    json_out = run_command(command, scn, stem.with_suffix(".json"), fmt="json")
+    rows = list(csv.reader(csv_out.read_text().splitlines()))
+    return rows[0], rows[1:], json.loads(json_out.read_text())
+
+
+def test_csv_and_json_carry_the_same_data(tmp_path):
+    small = write_scenario(tmp_path, "small.json", SMALL_SIM)
+    runs = [(c, SCENARIOS / f"{s}.json") for c, s in SCENARIO_RUNS]
+    runs += [("simulate", small), ("density", small)]
+    for command, scn in runs:
+        header, rows, doc = _both_formats(tmp_path, command, scn)
+        if command in ("feasibility", "honeymoon"):
+            assert header == sorted(doc), command
+            (row,) = rows
+            for key, cell in zip(header, row):
+                value = doc[key]
+                assert _cell(cell) == (value if isinstance(value, float) else str(value)), key
+        elif command == "density":
+            assert [float(r[0]) for r in rows] == doc["bin_edges"][:-1]
+            assert [float(r[1]) for r in rows] == doc["bin_edges"][1:]
+            assert [float(r[3]) for r in rows] == doc["density"]
+            assert {r[4] for r in rows} == {doc["classification"]}
+        elif command == "ou":
+            assert header == ["f", "x"]
+            assert [float(r[0]) for r in rows] == doc["curve"]["f"]
+            assert [float(r[1]) for r in rows] == doc["curve"]["x"]
+        else:
+            assert all(sorted(obj) == sorted(header) for obj in doc["rows"]), command
+            assert [[_cell(c) for c in r] for r in rows] == [
+                [obj[key] for key in header] for obj in doc["rows"]
+            ], (command, scn.name)

@@ -68,7 +68,6 @@ def test_classification_below_threshold_applicable():
     assert rep.status == "ok"
     assert rep.applicable
     assert rep.W is not None and rep.W > 0
-    assert rep.Wc is None
 
 
 def test_classification_above_threshold_not_applicable():
