@@ -84,17 +84,26 @@ def build_transient(params: ModelParams, K: int = 50) -> TransientSolution:
     return TransientSolution(spectrum=spectrum, coeffs=coeffs, stationary=sol)
 
 
-def eval_transient(ts: TransientSolution, t: float, f):
-    """Transient part X*(T - t, f); scalar t, scalar or array f."""
+def _transient_rows(ts: TransientSolution, t_grid, f):
+    """Check every time and every f, then return the rows X*(T - t, f), one per t.
+
+    The sine basis sin(u_k f / f_bar) and cosh(beta f) are built once; each
+    row keeps its own matrix-vector product, so it rounds as a one-row call.
+    """
     p = ts.spectrum.params
-    if not 0.0 <= t <= p.horizon_T * (1.0 + 1e-12):
+    times = np.asarray(t_grid, dtype=float)
+    if not np.all((0.0 <= times) & (times <= p.horizon_T * (1.0 + 1e-12))):
         raise DomainError("time outside [0, horizon_T]")
     arr = _check_band(ts.stationary, f)
-    tau = p.horizon_T - t
-    decay = np.exp(-ts.decay_rates() * tau) * ts.coeffs
-    us = _u_values(ts.spectrum)
-    phases = np.sin(np.multiply.outer(arr, us / p.f_bar))
-    out = (phases @ decay) / np.cosh(p.beta * arr)
+    basis = np.sin(np.multiply.outer(arr, _u_values(ts.spectrum) / p.f_bar))
+    damp = np.cosh(p.beta * arr)
+    rates = ts.decay_rates()
+    return ((basis @ (np.exp(-rates * (p.horizon_T - t)) * ts.coeffs)) / damp for t in times)
+
+
+def eval_transient(ts: TransientSolution, t: float, f):
+    """Transient part X*(T - t, f); scalar t, scalar or array f."""
+    (out,) = _transient_rows(ts, [float(t)], f)
     return float(out) if np.ndim(f) == 0 else out
 
 
@@ -105,10 +114,10 @@ def eval_full(ts: TransientSolution, t: float, f):
 
 def surface(ts: TransientSolution, t_grid, f_grid) -> np.ndarray:
     """Matrix X(t_i, f_j), row-major by time."""
+    times = np.asarray(t_grid, dtype=float)
     f = np.asarray(f_grid, dtype=float)
-    ts_arr = np.asarray(t_grid, dtype=float)
     base = eval_stationary(ts.stationary, f)
-    out = np.empty((len(ts_arr), len(f)))
-    for i, t in enumerate(ts_arr):
-        out[i] = eval_transient(ts, float(t), f) + base
+    out = np.empty((len(times), len(f)))
+    for i, row in enumerate(_transient_rows(ts, times, f)):
+        out[i] = row + base
     return out

@@ -196,6 +196,44 @@ def test_surface_rows():
     assert np.abs(mat[-1]).max() < 1e-3
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        REF,
+        dataclasses.replace(REF, beta=2.0 * regime_threshold(REF)),
+        dataclasses.replace(REF, sigma=0.1),
+    ],
+    ids=["ref", "shifted", "sigma0.1"],
+)
+def test_surface_rows_equal_eval_full_bit_for_bit(params):
+    # surface builds the sine basis once but keeps one product per row, so
+    # every row must round exactly as the one-row path does
+    ts = build_transient(params, K=200)
+    fg = uniform_grid(params, 401)
+    t_grid = np.linspace(0.0, params.horizon_T, 31)
+    mat = surface(ts, t_grid, fg)
+    for i, t in enumerate(t_grid):
+        assert np.array_equal(mat[i], eval_full(ts, t, fg)), i
+
+
+def test_surface_keeps_the_per_row_domain_checks():
+    ts = build_transient(REF, K=10)
+    fg = uniform_grid(REF, 21)
+    t_grid = np.linspace(0.0, REF.horizon_T, 11)
+    late = t_grid.copy()
+    late[5] = REF.horizon_T * (1.0 + 1e-9)
+    early = t_grid.copy()
+    early[0] = -1e-9
+    for bad in (late, early):
+        with pytest.raises(DomainError):
+            surface(ts, bad, fg)
+    with pytest.raises(DomainError):
+        surface(ts, t_grid, np.append(fg, REF.f_bar + 2e-12))
+    edge = np.append(fg, REF.f_bar + 5e-13)
+    mat = surface(ts, t_grid, edge)
+    assert np.array_equal(mat[3], eval_full(ts, t_grid[3], edge))
+
+
 def test_surfaces_differ_most_near_band_for_riskier_dynamics():
     fg = uniform_grid(REF, 101)
     t_grid = np.array([0.0])
