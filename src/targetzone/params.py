@@ -63,7 +63,11 @@ def validate(params: ModelParams) -> ModelParams:
         raise DomainError("beta must be non-negative")
     if not 0.0 <= params.r_share < 1.0:
         raise DomainError("r_share must lie in [0, 1)")
-    if not np.isfinite(params.rho()):
+    try:
+        rho = params.rho()
+    except OverflowError:  # a float beta**2 past the double range raises
+        rho = np.inf
+    if not np.isfinite(rho):
         raise DomainError("rho = beta^2/2 + alpha must be finite")
     return params
 

@@ -1,6 +1,9 @@
-"""Scalar root extraction: bisection with a safeguarded Newton polish.
+"""Root extraction: bisection of many brackets at once, with a safeguarded
+Newton polish.
 
-Used by the spectral and honeymoon modules.  Both callers supply analytic
+Each bracket is one lane of an array; every iteration halves all live
+lanes, and each lane stops on its own rule.  A scalar bracket is the
+one-lane case.  The spectral and honeymoon modules supply analytic
 brackets, so a missing sign change signals an internal bug and raises
 :class:`BracketError` rather than being retried.
 """
@@ -8,6 +11,8 @@ brackets, so a missing sign change signals an internal bug and raises
 from __future__ import annotations
 
 from typing import Callable
+
+import numpy as np
 
 from .errors import BracketError
 
@@ -21,54 +26,60 @@ _MAX_EXPANSIONS = 60
 
 
 def bisect_newton(
-    func: Callable[[float], float],
-    lo: float,
-    hi: float,
+    func: Callable,
+    lo: float | np.ndarray,
+    hi: float | np.ndarray,
     *,
-    dfunc: Callable[[float], float] | None = None,
+    dfunc: Callable | None = None,
     ftol: float = 1e-13,
-) -> float:
-    """Root of ``func`` in [lo, hi], refined until |func| <= ftol.
+) -> float | np.ndarray:
+    """Roots of ``func`` in [lo, hi], one per lane, refined until |func| <= ftol.
 
-    Bisection carries the bracket to near machine width; when ``dfunc``
-    is supplied a few Newton steps polish the root, rejected whenever
-    they would leave the bracket.
+    ``lo`` and ``hi`` are scalars or arrays of one shape; ``func`` and
+    ``dfunc`` map an array of that shape to one of the same shape.  A lane
+    whose endpoint is an exact zero returns that endpoint.  Bisection
+    carries each bracket to near machine width; when ``dfunc`` is supplied
+    up to 8 Newton steps polish each root, and a lane stops polishing when
+    a step would leave its own bracket.  Scalar brackets return a float.
     """
-    flo = func(lo)
-    fhi = func(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    flo = np.asarray(func(lo), dtype=float)
+    fhi = np.asarray(func(hi), dtype=float)
+    bad = flo * fhi > 0.0
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
         raise BracketError(
-            f"no sign change on [{lo!r}, {hi!r}]: f(lo)={flo!r}, f(hi)={fhi!r}"
+            f"no sign change in {np.count_nonzero(bad)} of {bad.size} brackets; first "
+            f"[{lo.flat[i]!r}, {hi.flat[i]!r}]: f(lo)={flo.flat[i]!r}, f(hi)={fhi.flat[i]!r}"
         )
+    ends = (flo == 0.0) | (fhi == 0.0)
     a, b, fa = lo, hi, flo
-    x = 0.5 * (a + b)
+    live = ~ends
     for _ in range(_MAX_ITER):
-        x = 0.5 * (a + b)
-        fx = func(x)
-        if abs(fx) <= ftol or (b - a) <= 4.0 * abs(x) * 2.2e-16:
+        x = 0.5 * (a + b)  # a stopped lane keeps its a and b, hence its x
+        fx = np.asarray(func(x), dtype=float)
+        live &= ~((np.abs(fx) <= ftol) | ((b - a) <= 4.0 * np.abs(x) * 2.2e-16))
+        if not live.any():
             break
-        if fa * fx <= 0.0:
-            b = x
-        else:
-            a, fa = x, fx
+        left = live & (fa * fx <= 0.0)
+        right = live & ~left
+        b = np.where(left, x, b)
+        a = np.where(right, x, a)
+        fa = np.where(right, fx, fa)
     if dfunc is not None:
+        live = ~ends
         for _ in range(8):
-            fx = func(x)
-            if abs(fx) <= ftol:
+            fx = np.asarray(func(x), dtype=float)
+            dfx = np.asarray(dfunc(x), dtype=float)
+            live &= ~(np.abs(fx) <= ftol) & (dfx != 0.0)
+            if not live.any():
                 break
-            dfx = dfunc(x)
-            if dfx == 0.0:
-                break
-            step = fx / dfx
-            x_new = x - step
-            if not (a < x_new < b):
-                break
-            x = x_new
-    return x
+            x_new = x - fx / np.where(live, dfx, 1.0)
+            live &= (a < x_new) & (x_new < b)
+            x = np.where(live, x_new, x)
+    x = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, x))
+    return float(x) if x.ndim == 0 else x
 
 
 def expand_bracket(

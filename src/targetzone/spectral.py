@@ -96,10 +96,6 @@ class FeasibilityReport:
     sandwich_ok: bool
 
 
-def _u_cot_u(u: float) -> float:
-    return u * math.cos(u) / math.sin(u)
-
-
 def eigen_residual(omega: float, params: ModelParams) -> float:
     """Residual of the transcendental eigenvalue equation at ``omega``.
 
@@ -117,19 +113,21 @@ def eigen_residual(omega: float, params: ModelParams) -> float:
     return w / math.tan(u) - params.beta * math.tanh(params.beta * params.f_bar)
 
 
-def _bracket_for_root(k: int, c: float) -> tuple[float, float]:
-    """u-interval containing the k-th root of u*cot(u) = c (k >= 1)."""
-    if c <= 1.0:
-        m = k - 1
-    else:
-        m = k
-    if m == 0:
-        lo = 1e-12
-    else:
-        # just inside the pole at m*pi, where u*cot(u) -> +inf
-        lo = m * math.pi * (1.0 + 1e-13) + 1e-300
+def _u_roots(c: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The k-th root u of u*cot(u) = c for each lane (c, k), with its bracket.
+
+    The k-th root lies in (m*pi, m*pi + pi/2) with m = k - 1 while c <= 1
+    and m = k once c > 1; the lower end sits just inside the pole at m*pi,
+    where u*cot(u) -> +inf, or at 1e-12 for m = 0.
+    """
+    m = np.where(c <= 1.0, k - 1, k)
+    lo = np.where(m == 0, 1e-12, m * math.pi * (1.0 + 1e-13) + 1e-300)
     hi = m * math.pi + 0.5 * math.pi * (1.0 + 1e-9)
-    return lo, hi
+    g = lambda u: u * np.cos(u) / np.sin(u) - c
+    # float_power rounds as the scalar pow(s, 2.0); s ** 2 squares, which
+    # differs from it in the last bit on about 0.1% of inputs.
+    dg = lambda u: np.cos(u) / np.sin(u) - u / np.float_power(np.sin(u), 2.0)
+    return bisect_newton(g, lo, hi, dfunc=dg, ftol=_U_TOL), lo, hi
 
 
 def build_spectrum(params: ModelParams, K: int) -> Spectrum:
@@ -138,22 +136,13 @@ def build_spectrum(params: ModelParams, K: int) -> Spectrum:
     if K < 1:
         raise DomainError("spectrum size K must be >= 1")
     c = spread_coefficient(params)
-    regime = "shifted" if c > 1.0 else "diffusive"
     scale = params.sigma / (math.sqrt(2.0) * params.f_bar)
-    g = lambda u: _u_cot_u(u) - c
-    dg = lambda u: math.cos(u) / math.sin(u) - u / math.sin(u) ** 2
-    eigenvalues = np.empty(K)
-    brackets = []
-    for k in range(1, K + 1):
-        lo, hi = _bracket_for_root(k, c)
-        u = bisect_newton(g, lo, hi, dfunc=dg, ftol=_U_TOL)
-        eigenvalues[k - 1] = scale * u
-        brackets.append((lo, hi))
+    u, lo, hi = _u_roots(np.full(K, c), np.arange(1, K + 1))
     return Spectrum(
         params=params,
-        eigenvalues=eigenvalues,
-        brackets=tuple(brackets),
-        regime=regime,
+        eigenvalues=scale * u,
+        brackets=tuple(zip(lo.tolist(), hi.tolist())),
+        regime="shifted" if c > 1.0 else "diffusive",
     )
 
 
@@ -206,13 +195,23 @@ def regime_scan(
     betas = np.asarray(beta_grid, dtype=float)
     if betas.size == 0:
         raise DomainError("beta_grid must be nonempty")
-    if np.any(np.diff(betas) <= 0.0):
+    if not np.all(np.diff(betas) > 0.0):  # a NaN fails this too
         raise DomainError("beta_grid must be strictly ascending")
+    # An ascending grid is valid when its ends are: the first is the least
+    # beta and the last gives the largest rho.
+    for b in (betas[0], betas[-1]):
+        validate(dataclasses.replace(params, beta=float(b)))
+    # c, t_relax and the regime in the same float operations as
+    # spread_coefficient, relaxation_time and build_spectrum for one beta.
+    fb = params.f_bar
+    betas = betas.tolist()
+    c = [b * fb * math.tanh(b * fb) for b in betas]
+    u, _, _ = _u_roots(np.array(c), np.ones(len(c), dtype=int))
+    scale = params.sigma / (math.sqrt(2.0) * fb)
     rows = []
-    for b in betas:
-        spec = build_spectrum(dataclasses.replace(params, beta=float(b)), 1)
-        rep = relaxation_time(spec)
-        rows.append((float(b), rep.omega1, rep.t_relax, spec.regime))
+    for b, omega1, cb in zip(betas, (scale * u).tolist(), c):
+        t_relax = 1.0 / (omega1**2 + (0.5 * b**2 + params.alpha))
+        rows.append((b, omega1, t_relax, "shifted" if cb > 1.0 else "diffusive"))
     return rows
 
 

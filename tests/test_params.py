@@ -30,6 +30,7 @@ def test_validate_rejects_zero_sigma():
         ("beta", -0.5, "beta"),
         ("r_share", 1.0, "r_share"),
         ("r_share", -0.1, "r_share"),
+        ("beta", 1e200, "rho"),
     ],
 )
 def test_validate_names_the_violated_field(field, value, message):
