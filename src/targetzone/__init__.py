@@ -40,12 +40,10 @@ from .spectral import (
     spread_coefficient,
 )
 from .stationary import (
-    GaussianStationary,
     OUStationary,
     StationarySolution,
     eval_stationary,
     eval_stationary_derivatives,
-    gaussian_stationary,
     ou_stationary,
     solve_smooth_pasting,
     stationary_ode_residual,
@@ -68,7 +66,6 @@ __all__ = [
     "DensityEstimate",
     "DomainError",
     "FeasibilityReport",
-    "GaussianStationary",
     "ModelParams",
     "NumericalError",
     "OUStationary",
@@ -95,7 +92,6 @@ __all__ = [
     "exchange_paths",
     "fourier_coeffs",
     "gaussian_contact",
-    "gaussian_stationary",
     "kummer_1f1",
     "ou_asymptotic_spectrum",
     "ou_stationary",

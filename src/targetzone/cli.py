@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
@@ -98,9 +99,11 @@ def load_scenario(path: str | Path) -> dict:
 
 
 def _convert(key: str, value, cast=float):
-    """A JSON number (not a boolean) as ``cast``; ``int`` also needs an integral value."""
+    """A finite JSON number (not a boolean) as ``cast``; ``int`` also needs an integral value."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{key} must be a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValidationError(f"{key} must be finite, got {value!r}")
     if cast is int and isinstance(value, float) and not value.is_integer():
         raise ValidationError(f"{key} must be an integer, got {value!r}")
     try:

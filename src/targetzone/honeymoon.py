@@ -54,8 +54,8 @@ def gaussian_contact(F: float, params: ModelParams) -> float:
     validate(params)
     if params.beta != 0.0:
         raise DomainError("gaussian_contact requires beta = 0")
-    if F <= 0.0:
-        raise DomainError("target level F must be positive")
+    if not (math.isfinite(F) and F > 0.0):
+        raise DomainError("target level F must be positive and finite")
     rho0 = math.sqrt(2.0 * params.alpha) / params.sigma
     g = lambda w: w - F - math.tanh(rho0 * w) / rho0
     dg = lambda w: 1.0 - 1.0 / math.cosh(min(rho0 * w, 350.0)) ** 2
@@ -100,8 +100,10 @@ def classify_honeymoon(
     silent classification.
     """
     validate(params)
-    if F <= 0.0:
-        raise DomainError("target level F must be positive")
+    if not (math.isfinite(F) and F > 0.0):
+        raise DomainError("target level F must be positive and finite")
+    if not math.isfinite(omega):
+        raise DomainError("omega must be finite")
 
     status = "ok"
     W: float | None

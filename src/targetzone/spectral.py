@@ -54,6 +54,11 @@ __all__ = [
 # residual near ulp(u) * |slope| (about 2e-10 at K = 240), not 1e-12.
 _U_TOL = 1e-12
 
+# x* with x* tanh(x*) = 1, as bisection plus Newton to ftol 1e-15 returns
+# it.  1.1996786402577337 has the smaller residual, but this value keeps
+# every regime_threshold result bit-identical to that solve.
+_X_STAR = 1.1996786402577335
+
 
 def spread_coefficient(params: ModelParams) -> float:
     """c = beta * f_bar * tanh(beta * f_bar), the bracket selector."""
@@ -176,16 +181,13 @@ def relaxation_time(spectrum: Spectrum) -> FeasibilityReport:
 def regime_threshold(params: ModelParams) -> float:
     """Risk intensity beta^e at which the first bracket empties.
 
-    Solves beta * f_bar * tanh(beta * f_bar) = 1, i.e. beta^e = x*/f_bar
-    with x* the unique positive root of x tanh(x) = 1 (~1.19968); always
-    exceeds 1/f_bar because tanh < 1.
+    beta^e solves beta * f_bar * tanh(beta * f_bar) = 1, so beta^e =
+    x*/f_bar with x* the unique positive root of x tanh(x) = 1 (~1.19968),
+    a constant; always exceeds 1/f_bar because tanh < 1.
     """
     if params.f_bar <= 0.0:
         raise DomainError("f_bar must be positive")
-    g = lambda x: x * math.tanh(x) - 1.0
-    dg = lambda x: math.tanh(x) + x / math.cosh(x) ** 2
-    x_star = bisect_newton(g, 1.0, 1.5, dfunc=dg, ftol=1e-15)
-    return x_star / params.f_bar
+    return _X_STAR / params.f_bar
 
 
 def regime_scan(
@@ -246,8 +248,10 @@ def ou_asymptotic_spectrum(
     validate(params)
     if K < 1:
         raise DomainError("spectrum size K must be >= 1")
-    if lambda_speed <= 0.0:
-        raise DomainError("lambda_speed must be positive")
+    if not (math.isfinite(lambda_speed) and lambda_speed > 0.0):
+        raise DomainError("lambda_speed must be positive and finite")
+    if not math.isfinite(mu):
+        raise DomainError("mu must be finite")
     fb, sg = params.f_bar, params.sigma
     c0 = lambda_speed**2 * (4.0 * fb**2 - 6.0 * fb * mu + 3.0 * mu**2) / (6.0 * sg**2)
     k = np.arange(1, K + 1, dtype=float)

@@ -12,10 +12,11 @@ with r = sqrt(beta^2 + 2 alpha / sigma^2) and the particular part
 
 A and B are fixed by zero-slope (smooth-pasting) conditions at the band
 edges; their closed forms are lengthy, so the 2x2 linear system is solved
-directly with partial pivoting instead.  The Gaussian limit (beta = 0,
-:class:`GaussianStationary`) and the mean-reverting stationary solution
-built on the confluent hypergeometric function (:class:`OUStationary`)
-live here as well, each as its own type.
+directly with partial pivoting instead.  The Gaussian limit is the
+beta = 0 case of the same solution: there r = rho0 = sqrt(2 alpha) / sigma
+and the particular part reduces to f, so X_S is f + a sinh(rho0 f).  The
+mean-reverting stationary solution built on the confluent hypergeometric
+function lives here as well, as its own type (:class:`OUStationary`).
 
 Internally the homogeneous terms are carried in boundary-anchored form,
 A~ e^{r (f - f_bar)} and B~ e^{-r (f + f_bar)}, whose exponents never
@@ -36,12 +37,10 @@ from .specfun import kummer_1f1
 
 __all__ = [
     "StationarySolution",
-    "GaussianStationary",
     "OUStationary",
     "solve_smooth_pasting",
     "eval_stationary",
     "eval_stationary_derivatives",
-    "gaussian_stationary",
     "ou_stationary",
     "stationary_ode_residual",
 ]
@@ -61,13 +60,6 @@ class StationarySolution:
 
 
 @dataclass(frozen=True)
-class GaussianStationary:
-    """Gaussian-limit (beta = 0) solution X_0(f) = f + a sinh(rho0 f)."""
-
-    params: ModelParams
-
-
-@dataclass(frozen=True)
 class OUStationary:
     """Mean-reverting solution: A and B multiply the two 1F1 basis terms."""
 
@@ -78,7 +70,7 @@ class OUStationary:
     B: float
 
 
-_Stationary = StationarySolution | GaussianStationary | OUStationary
+_Stationary = StationarySolution | OUStationary
 
 
 def _growth_rate(p: ModelParams) -> float:
@@ -209,19 +201,6 @@ def solve_smooth_pasting(params: ModelParams) -> StationarySolution:
     return StationarySolution(params=params, a_anchor=at, b_anchor=bt)
 
 
-def gaussian_stationary(params: ModelParams) -> GaussianStationary:
-    """Closed-form Gaussian-limit solution X_0(f) = f + a sinh(rho0 f).
-
-    Requires beta = 0; a = -1 / (rho0 cosh(rho0 f_bar)) pastes smoothly at
-    the band edges by construction.  Independent of the general solver, so
-    the two routes can be cross-checked.
-    """
-    validate(params)
-    if params.beta != 0.0:
-        raise DomainError("gaussian_stationary requires beta = 0")
-    return GaussianStationary(params)
-
-
 def ou_stationary(lambda_speed: float, mu: float, params: ModelParams) -> OUStationary:
     """Mean-reverting stationary solution via confluent hypergeometrics.
 
@@ -234,8 +213,10 @@ def ou_stationary(lambda_speed: float, mu: float, params: ModelParams) -> OUStat
     system decouples by parity and A = 0.
     """
     validate(params)
-    if lambda_speed <= 0.0:
-        raise DomainError("lambda_speed must be positive")
+    if not (math.isfinite(lambda_speed) and lambda_speed > 0.0):
+        raise DomainError("lambda_speed must be positive and finite")
+    if not math.isfinite(mu):
+        raise DomainError("mu must be finite")
     rows = []
     rhs = []
     for f_star in (params.f_bar, -params.f_bar):
@@ -301,18 +282,6 @@ def _check_band(sol: _Stationary, f) -> np.ndarray:
     return arr
 
 
-def _gaussian_ratios(p: ModelParams, arr: np.ndarray):
-    """sinh(rho0 f)/cosh(rho0 f_bar) and cosh(rho0 f)/cosh(rho0 f_bar)."""
-    rho0 = math.sqrt(2.0 * p.alpha) / p.sigma
-    m = rho0 * p.f_bar
-    s = rho0 * arr
-    denom = 1.0 + math.exp(-2.0 * m)
-    grow = np.exp(np.abs(s) - m)
-    sinh_ratio = np.sign(s) * grow * (1.0 - np.exp(-2.0 * np.abs(s))) / denom
-    cosh_ratio = grow * (1.0 + np.exp(-2.0 * np.abs(s))) / denom
-    return rho0, sinh_ratio, cosh_ratio
-
-
 def _ou_terms(sol: OUStationary, arr: np.ndarray, with_d1: bool):
     """X_S and (if asked) X_S' of the mean-reverting solution, point by point."""
     lam, mu, p = sol.lambda_speed, sol.mu, sol.params
@@ -332,9 +301,6 @@ def eval_stationary(sol: _Stationary, f):
     arr = _check_band(sol, f)
     if isinstance(sol, OUStationary):
         out = _ou_terms(sol, arr, with_d1=False)[0]
-    elif isinstance(sol, GaussianStationary):
-        rho0, sinh_ratio, _ = _gaussian_ratios(sol.params, arr)
-        out = arr - sinh_ratio / rho0
     else:
         e_plus, e_minus, _ = _anchored_terms(sol, arr)
         out = e_plus + e_minus + _particular(sol.params, arr)
@@ -352,9 +318,6 @@ def eval_stationary_derivatives(sol: _Stationary, f):
     if isinstance(sol, OUStationary):
         x, d1 = _ou_terms(sol, arr, with_d1=True)
         return (float(x), float(d1), None) if np.ndim(f) == 0 else (x, d1, None)
-    if isinstance(sol, GaussianStationary):
-        rho0, sinh_ratio, cosh_ratio = _gaussian_ratios(p, arr)
-        return arr - sinh_ratio / rho0, 1.0 - cosh_ratio, -rho0 * sinh_ratio
     b = p.beta
     t = np.tanh(b * arr)
     s2 = _sech2(b, arr)
@@ -372,11 +335,12 @@ def eval_stationary_derivatives(sol: _Stationary, f):
 def stationary_ode_residual(sol: _Stationary, f):
     """Residual sigma^2/2 X'' + beta tanh(beta f) X' - alpha X + alpha f.
 
-    Zero (to roundoff) for any correctly constructed DMPS or Gaussian
-    solution; the main correctness gate of this module.
+    Zero (to roundoff) for any correctly constructed DMPS solution, the
+    beta = 0 Gaussian limit included; the main correctness gate of this
+    module.
     """
     if isinstance(sol, OUStationary):
-        raise DomainError("ODE residual applies to the DMPS and Gaussian solutions")
+        raise DomainError("ODE residual applies to the DMPS solution only")
     p = sol.params
     arr = np.asarray(f, dtype=float)
     x, d1, d2 = eval_stationary_derivatives(sol, arr)

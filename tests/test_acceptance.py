@@ -34,7 +34,6 @@ from targetzone import (
     estimate_density,
     eval_full,
     eval_stationary,
-    gaussian_stationary,
     kummer_1f1,
     ou_asymptotic_spectrum,
     ou_stationary,

@@ -118,6 +118,13 @@ MALFORMED = (
     ("ou", {"ou": {"n_points": 1}}, []),
     ("simulate", {"sim": {"n_paths": 0}}, []),
     ("density", {"sim": {"dt": float("nan")}}, []),
+    ("honeymoon", {"honeymoon": {"F": float("nan")}}, []),
+    ("honeymoon", {"honeymoon": {"F": float("inf")}}, []),
+    ("honeymoon", {"honeymoon": {"omega": float("nan")}}, []),
+    ("ou", {"ou": {"lambda_speed": float("nan")}}, []),
+    ("ou", {"ou": {"lambda_speed": float("inf")}}, []),
+    ("ou", {"ou": {"mu": float("nan")}}, []),
+    ("ou", {"ou": {"mu": float("-inf")}}, []),
     # 64 paths x 3 columns = 192 values, fewer than the bins
     ("density", {"density": {"t_window": [0.0, 0.01], "n_bins": 200}}, []),
 )

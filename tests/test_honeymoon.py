@@ -47,6 +47,18 @@ def test_gaussian_contact_requires_gaussian_limit():
         gaussian_contact(0.1, ModelParams(alpha=0.8, beta=1.0))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_target_or_weight_refused(bad):
+    gauss = ModelParams(alpha=0.8, beta=0.0, sigma=1.0, f_bar=0.1)
+    with pytest.raises(DomainError):
+        gaussian_contact(bad, gauss)
+    for p in (gauss, ModelParams(alpha=0.8, beta=1.0, sigma=1.0, f_bar=0.1)):
+        with pytest.raises(DomainError):
+            classify_honeymoon(p, bad)
+        with pytest.raises(DomainError):
+            classify_honeymoon(p, 0.1, omega=bad)
+
+
 def test_delta_vanishes_at_origin_and_stays_positive():
     p = ModelParams(alpha=0.8, beta=1.0, sigma=1.0, f_bar=0.1)
     grid = np.linspace(0.0, 50.0, 20000)

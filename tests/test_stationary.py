@@ -10,8 +10,7 @@ from targetzone import (
     SingularSystemError,
     eval_stationary,
     eval_stationary_derivatives,
-    GaussianStationary,
-    gaussian_stationary,
+    ou_asymptotic_spectrum,
     ou_stationary,
     solve_smooth_pasting,
     stationary_ode_residual,
@@ -25,6 +24,12 @@ def closed_form_gaussian(p, f):
     """Independent beta=0 closed form: f - sinh(rho0 f)/(rho0 cosh(rho0 f_bar))."""
     rho0 = math.sqrt(2.0 * p.alpha / p.sigma**2)
     return f - np.sinh(rho0 * f) / (rho0 * math.cosh(rho0 * p.f_bar))
+
+
+# beta = 0 sets: sigma in {0.1, 0.5, 1, 2} at the fig-2 band, plus fig6
+GAUSSIAN_PARAMS = [dataclasses.replace(FIG_PARAMS[0.0], sigma=s) for s in (0.1, 0.5, 1.0, 2.0)] + [
+    ModelParams(alpha=200.0, beta=0.0, sigma=0.1, f_bar=0.1, horizon_T=3.0)
+]
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0, 5.0])
@@ -108,30 +113,23 @@ def test_eval_outside_band_rejected():
         eval_stationary(sol, np.array([0.0, -0.2]))
 
 
-def test_gaussian_constructor_requires_beta_zero():
-    with pytest.raises(DomainError):
-        gaussian_stationary(FIG_PARAMS[1.0])
-
-
 def test_gaussian_constructor_properties():
-    p = FIG_PARAMS[0.0]
-    sol = gaussian_stationary(p)
-    assert isinstance(sol, GaussianStationary)
-    assert eval_stationary(sol, 0.0) == 0.0
-    _, d1, _ = eval_stationary_derivatives(sol, np.array([-p.f_bar, p.f_bar]))
-    assert np.abs(d1).max() < 1e-12
-    grid = np.linspace(-p.f_bar, p.f_bar, 50)
-    general = solve_smooth_pasting(p)
-    assert np.abs(eval_stationary(sol, grid) - eval_stationary(general, grid)).max() < 1e-9
-    assert np.abs(stationary_ode_residual(sol, grid)).max() < 1e-7
+    for p in GAUSSIAN_PARAMS:
+        sol = solve_smooth_pasting(p)
+        assert abs(eval_stationary(sol, 0.0)) <= 1e-15, p
+        _, d1, _ = eval_stationary_derivatives(sol, np.array([-p.f_bar, p.f_bar]))
+        assert np.abs(d1).max() <= 1e-12, p
+        grid = np.linspace(-p.f_bar, p.f_bar, 401)
+        assert np.abs(eval_stationary(sol, grid) - closed_form_gaussian(p, grid)).max() <= 1e-14, p
+        assert np.abs(stationary_ode_residual(sol, grid)).max() < 1e-7, p
 
 
 def test_small_beta_continuity_with_gaussian_limit():
-    p_small = ModelParams(alpha=0.8, beta=1e-4, sigma=1.0, f_bar=0.1)
-    sol_small = solve_smooth_pasting(p_small)
-    sol_gauss = gaussian_stationary(FIG_PARAMS[0.0])
-    grid = np.linspace(-0.1, 0.1, 101)
-    assert np.abs(eval_stationary(sol_small, grid) - eval_stationary(sol_gauss, grid)).max() < 1e-6
+    for p in GAUSSIAN_PARAMS:
+        sol_small = solve_smooth_pasting(dataclasses.replace(p, beta=1e-4))
+        grid = np.linspace(-p.f_bar, p.f_bar, 101)
+        gap = np.abs(eval_stationary(sol_small, grid) - closed_form_gaussian(p, grid)).max()
+        assert gap < 1e-6, p
 
 
 def test_degenerate_band_is_singular():
@@ -153,10 +151,19 @@ def test_ou_smooth_pasting_residual():
     assert np.abs(d1).max() < 1e-8
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_ou_refuses_non_finite_speed_or_centre(bad):
+    p = ModelParams(alpha=0.8, beta=0.0, sigma=1.0, f_bar=0.1)
+    for lam, mu in ((bad, 0.0), (1.0, bad)):
+        with pytest.raises(DomainError):
+            ou_stationary(lam, mu, p)
+        with pytest.raises(DomainError):
+            ou_asymptotic_spectrum(lam, mu, p, 3)
+
+
 def test_ou_small_reversion_close_to_gaussian_shape():
     p = ModelParams(alpha=0.8, beta=0.0, sigma=1.0, f_bar=0.1, r_share=0.0)
     sol_ou = ou_stationary(1e-3, 0.0, p)
-    sol_g = gaussian_stationary(p)
     grid = np.linspace(-0.1, 0.1, 60)
-    diff = np.abs(eval_stationary(sol_ou, grid) - eval_stationary(sol_g, grid)).max()
+    diff = np.abs(eval_stationary(sol_ou, grid) - closed_form_gaussian(p, grid)).max()
     assert diff < 5e-2

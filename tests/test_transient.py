@@ -14,7 +14,6 @@ from targetzone import (
     eval_stationary,
     eval_transient,
     fourier_coeffs,
-    gaussian_stationary,
     ou_stationary,
     regime_threshold,
     solve_smooth_pasting,
@@ -114,9 +113,6 @@ def test_stiff_projection_matches_high_precision():
 
 
 def test_projection_refuses_unsupported_solutions():
-    flat = dataclasses.replace(REF, beta=0.0)
-    with pytest.raises(DomainError):
-        fourier_coeffs(gaussian_stationary(flat), build_spectrum(flat, 5))
     with pytest.raises(DomainError):
         fourier_coeffs(ou_stationary(1.0, 0.02, REF), build_spectrum(REF, 5))
 
