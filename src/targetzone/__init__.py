@@ -15,7 +15,7 @@ from .errors import (
     SingularSystemError,
     ValidationError,
 )
-from .honeymoon import ContactReport, classify_honeymoon, delta_profile, gaussian_contact
+from .honeymoon import ContactReport, classify_honeymoon, gaussian_contact
 from .mc import (
     DensityEstimate,
     PathEnsemble,
@@ -82,7 +82,6 @@ __all__ = [
     "build_transient",
     "classify_honeymoon",
     "classify_shape",
-    "delta_profile",
     "eigen_residual",
     "estimate_density",
     "eval_full",

@@ -25,14 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, NumericalError
 from .params import ModelParams, validate
 from .roots import bisect_newton, expand_bracket
 from .spectral import spread_coefficient
 
-__all__ = ["ContactReport", "gaussian_contact", "delta_profile", "classify_honeymoon"]
+__all__ = ["ContactReport", "gaussian_contact", "classify_honeymoon"]
 
 
 @dataclass(frozen=True)
@@ -64,14 +62,6 @@ def gaussian_contact(F: float, params: ModelParams) -> float:
 
 def _rho_beta(params: ModelParams) -> float:
     return math.sqrt(params.beta**2 + 4.0 * params.alpha)
-
-
-def delta_profile(params: ModelParams, W_grid) -> np.ndarray:
-    """Delta(W) = rho tanh(rho W) - beta tanh(beta W) on the given grid."""
-    validate(params)
-    rho = _rho_beta(params)
-    w = np.asarray(W_grid, dtype=float)
-    return rho * np.tanh(rho * w) - params.beta * np.tanh(params.beta * w)
 
 
 def _contact_residual(W: float, F: float, omega: float, params: ModelParams) -> float:

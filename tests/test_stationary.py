@@ -142,6 +142,7 @@ def test_ou_mu_zero_forces_amplitude_zero():
     p = ModelParams(alpha=0.8, beta=0.0, sigma=1.0, f_bar=0.1, r_share=0.0)
     sol = ou_stationary(1.0, 0.0, p)
     assert sol.A == 0.0
+    assert sol.B == 0.0  # the particular part has zero slope, so X is identically 0
 
 
 def test_ou_smooth_pasting_residual():
@@ -149,6 +150,17 @@ def test_ou_smooth_pasting_residual():
     sol = ou_stationary(1.0, 0.02, p)
     _, d1, _ = eval_stationary_derivatives(sol, np.array([-0.1, 0.1]))
     assert np.abs(d1).max() < 1e-8
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1.0, 10.0])
+def test_ou_interior_slope_matches_central_difference(lam):
+    p = ModelParams(alpha=0.8, beta=0.0, sigma=1.0, f_bar=0.1, r_share=0.0)
+    sol = ou_stationary(lam, 0.02, p)
+    h = 1e-5
+    grid = np.linspace(-0.1 + h, 0.1 - h, 201)
+    d1 = eval_stationary_derivatives(sol, grid)[1]
+    fd = (eval_stationary(sol, grid + h) - eval_stationary(sol, grid - h)) / (2.0 * h)
+    assert np.abs(d1 - fd).max() <= 1e-7 * np.abs(d1).max()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
