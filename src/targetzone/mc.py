@@ -37,7 +37,7 @@ import functools
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -126,7 +126,6 @@ class PathEnsemble:
     times: np.ndarray
     fundamentals: np.ndarray
     n_interventions: int
-    bernoulli_signs: np.ndarray | None
 
 
 def _fill_block(
@@ -216,33 +215,42 @@ def simulate(config: SimConfig, *, threads: int = 1) -> PathEnsemble:
         times=times,
         fundamentals=buf.T,
         n_interventions=n_interventions,
-        bernoulli_signs=signs,
     )
 
 
 def exchange_paths(ensemble: PathEnsemble, transient: TransientSolution) -> np.ndarray:
     """Exchange-rate paths X(t, f_t) = X*(T - t, f_t) + X_S(f_t).
 
-    The transient part is skipped wherever its worst-case amplitude has
-    decayed below 1e-16, which for fast expectation updating is every
-    time slice except the last few before the horizon.
+    Mode k of the transient is bounded by a_k = |c_k| exp(-(Omega_k^2 +
+    rho)(T - t)), since |sin| / cosh(beta f) <= 1.  Each time slice keeps
+    the shortest prefix of modes whose dropped bounds sum to at most
+    1e-16, and evaluates only those; for fast expectation updating that
+    prefix is empty, and the transient skipped, on every slice except the
+    last few before the horizon.
     """
     p = transient.spectrum.params
     if ensemble.config.params != p:
         raise DomainError("ensemble and transient solution must share params")
-    rates = transient.decay_rates()
-    amps = np.abs(transient.coeffs)
     rows = ensemble.fundamentals.T
     out = np.empty_like(rows)
     # X_S is pointwise: evaluate it over slabs of whole time rows
     slab = max(1, _XS_SLAB // rows.shape[1])
     for j in range(0, len(rows), slab):
         out[j : j + slab] = eval_stationary(transient.stationary, rows[j : j + slab])
-    for j, t in enumerate(ensemble.times):
-        t = min(float(t), p.horizon_T)
-        tail = float(np.sum(amps * np.exp(-rates * (p.horizon_T - t))))
-        if tail > 1e-16:
-            out[j] += eval_transient(transient, t, rows[j])
+    times = np.minimum(ensemble.times, p.horizon_T)
+    bounds = np.abs(transient.coeffs) * np.exp(
+        -np.multiply.outer(p.horizon_T - times, transient.decay_rates())
+    )
+    # dropped[j, k]: bound of what modes k.. add to slice j
+    dropped = np.cumsum(bounds[:, ::-1], axis=1)[:, ::-1]
+    kept = np.count_nonzero(dropped > 1e-16, axis=1)
+    spectrum = transient.spectrum
+    for j in np.flatnonzero(kept):
+        k = kept[j]
+        modes = replace(spectrum, eigenvalues=spectrum.eigenvalues[:k],
+                        brackets=spectrum.brackets[:k])
+        view = replace(transient, coeffs=transient.coeffs[:k], spectrum=modes)
+        out[j] += eval_transient(view, float(times[j]), rows[j])
     return out.T
 
 

@@ -72,13 +72,6 @@ def test_delta_vanishes_at_origin_and_stays_positive():
     assert np.all(deltas[1:] > 0.0)  # rho > beta: no positive critical point
 
 
-def test_delta_gaussian_limit():
-    p = ModelParams(alpha=0.8, beta=0.0, sigma=1.0, f_bar=0.1)
-    rho = math.sqrt(4.0 * p.alpha)
-    grid = np.linspace(0.0, 3.0, 50)
-    assert np.allclose(delta(p, grid), rho * np.tanh(rho * grid), atol=0)
-
-
 def test_classification_below_threshold_applicable():
     p = ModelParams(alpha=0.8, beta=1.0, sigma=1.0, f_bar=0.1)
     rep = classify_honeymoon(p, 0.1)

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import targetzone.mc
+
 from targetzone import (
     DomainError,
     ModelParams,
@@ -88,14 +90,15 @@ def test_noise_is_per_path_not_per_ensemble(monkeypatch, drift_mode):
     generator = RngStream.generator
     monkeypatch.setattr(RngStream, "generator",
                         lambda self: streams.append(self.stream_id) or generator(self))
-    small = simulate(quiet_config(drift_mode=drift_mode, n_paths=300, seed=5))
+    # beta > 0, so a bernoulli path's sign shows in its fundamentals
+    p = ModelParams(alpha=200.0, beta=5.0, sigma=1.0, f_bar=0.1, horizon_T=1.0)
+    small = simulate(quiet_config(params=p, drift_mode=drift_mode, n_paths=300, seed=5))
     assert streams == [0, 1]
     streams.clear()
-    large = simulate(quiet_config(drift_mode=drift_mode, n_paths=600, seed=5), threads=3)
+    large = simulate(quiet_config(params=p, drift_mode=drift_mode, n_paths=600, seed=5),
+                     threads=3)
     assert sorted(streams) == [0, 1, 2]
     assert np.array_equal(small.fundamentals, large.fundamentals[:300])
-    if drift_mode == "bernoulli":
-        assert np.array_equal(small.bernoulli_signs, large.bernoulli_signs[:300])
 
 
 def test_band_containment_and_intervention_log():
@@ -134,12 +137,21 @@ def test_reflection_fold_matches_iterative_mirror():
 
 
 def test_bernoulli_signs_recorded_once_per_path():
-    ens = simulate(quiet_config(drift_mode="bernoulli", n_paths=600, seed=8))
-    assert ens.bernoulli_signs is not None
-    assert set(np.unique(ens.bernoulli_signs)) <= {-1.0, 1.0}
-    assert 0.35 < np.mean(ens.bernoulli_signs == 1.0) < 0.65
-    tanh_ens = simulate(quiet_config(n_paths=4, seed=8))
-    assert tanh_ens.bernoulli_signs is None
+    # free space, so no path intervenes: the same seed at beta = 0 draws the
+    # same signs and normals, and the gap between the two runs is the drift
+    # beta * sign * t, one constant sign per path
+    beta = 2.0
+    runs = [
+        simulate(quiet_config(
+            params=ModelParams(alpha=200.0, beta=b, sigma=1.0, f_bar=50.0, horizon_T=1.0),
+            drift_mode="bernoulli", n_paths=600, seed=8))
+        for b in (beta, 0.0)
+    ]
+    assert runs[0].n_interventions == runs[1].n_interventions == 0
+    gap = runs[0].fundamentals - runs[1].fundamentals
+    signs = np.sign(gap[:, -1])
+    assert np.abs(gap - beta * np.multiply.outer(signs, runs[0].times)).max() < 1e-12
+    assert 0.35 < np.mean(signs == 1.0) < 0.65
 
 
 # ------------------------------------------------------ density oracles
@@ -224,10 +236,8 @@ def test_exchange_paths_terminal_parity():
                              intervention="pure_reflection", seed=31, kappa=1.0))
     X = exchange_paths(ens, ts)
     assert np.abs(X[:, -1]).max() < 1e-3
-    # early columns carry no transient: X equals the stationary map there
-    from targetzone import eval_stationary
-
-    assert np.allclose(X[:, 10], eval_stationary(ts.stationary, ens.fundamentals[:, 10]))
+    # early columns keep no mode: X is exactly the stationary map there
+    assert np.array_equal(X[:, 10], eval_stationary(ts.stationary, ens.fundamentals[:, 10]))
 
 
 def test_exchange_paths_matches_columnwise_reference():
@@ -250,6 +260,39 @@ def test_exchange_paths_matches_columnwise_reference():
             ref = eval_stationary(ts.stationary, col) + eval_transient(ts, t, col)
             assert np.abs(X[:, j] - ref).max() <= 1e-15, (beta, j)
     assert regimes == {"diffusive", "shifted"}
+
+
+@pytest.mark.parametrize("beta, kappa", [(0.0, 0.9), (50.0, 0.2)])
+def test_exchange_paths_keeps_shortest_weighted_prefix(monkeypatch, beta, kappa):
+    # fig6b and fig8: each time slice evaluates the shortest prefix of modes
+    # whose dropped bounds |c_k| exp(-(Omega_k^2 + rho) tau) sum to <= 1e-16
+    p = ModelParams(alpha=200.0, beta=beta, sigma=0.1, f_bar=0.1, horizon_T=3.0)
+    K = 50
+    ts = build_transient(p, K=K)
+    ens = simulate(SimConfig(params=p, n_paths=6, dt=1 / 200, drift_mode="tanh",
+                             intervention="pure_reflection", seed=35, kappa=kappa))
+    kept = {}
+
+    def spy(view, t, f):
+        kept[t] = len(view.coeffs)
+        return eval_transient(view, t, f)
+
+    monkeypatch.setattr(targetzone.mc, "eval_transient", spy)
+    X = exchange_paths(ens, ts)
+    rates, amps = ts.decay_rates(), np.abs(ts.coeffs)
+    for j, t in enumerate(ens.times):
+        t = min(float(t), p.horizon_T)
+        bounds = amps * np.exp(-rates * (p.horizon_T - t))
+        k = kept.pop(t, 0)
+        assert math.fsum(bounds[k:]) <= 1e-16, j
+        assert k == 0 or math.fsum(bounds[k - 1 :]) > 1e-16, j
+        assert k < K or t == p.horizon_T, j
+        # no call exactly where the all-K sum stays below the threshold
+        assert (k == 0) == (float(np.sum(bounds)) <= 1e-16), j
+        col = np.ascontiguousarray(ens.fundamentals[:, j])
+        ref = eval_stationary(ts.stationary, col) + eval_transient(ts, t, col)
+        assert np.abs(X[:, j] - ref).max() <= 1e-15, j
+    assert not kept
 
 
 def test_exchange_paths_pinned_at_parity():
