@@ -309,12 +309,14 @@ def cmd_density(scn: dict, params: ModelParams, threads: int, seed: int | None):
         raise ValidationError(f"density.n_bins = {n_bins} exceeds the {n_values} sampled values")
     K = _count(scn, "transient.K", _DEFAULTS["spectral_K"], 1)
     ens = simulate(cfg, threads=threads)
+    # only the window's columns are histogrammed, so only they are mapped
+    ens = dataclasses.replace(ens, times=ens.times[j0:j1], fundamentals=ens.fundamentals[:, j0:j1])
     if target == "exchange":
         mat = exchange_paths(ens, build_transient(params, K=K))
     else:
         mat = ens.fundamentals
     # mat is a transposed time-major array: order="K" ravels without a copy
-    dens = estimate_density(mat[:, j0:j1].ravel(order="K"), n_bins, value_range)
+    dens = estimate_density(mat.ravel(order="K"), n_bins, value_range)
     shape = classify_shape(dens)
     edges = dens.bin_edges
     doc = {

@@ -11,12 +11,15 @@ with r = sqrt(beta^2 + 2 alpha / sigma^2) and the particular part
              / (2 alpha + beta^2 (1 - sigma^2))^2.
 
 A and B are fixed by zero-slope (smooth-pasting) conditions at the band
-edges; their closed forms are lengthy, so the 2x2 linear system is solved
-directly with partial pivoting instead.  The Gaussian limit is the
-beta = 0 case of the same solution: there r = rho0 = sqrt(2 alpha) / sigma
-and the particular part reduces to f, so X_S is f + a sinh(rho0 f).  The
-mean-reverting stationary solution built on the confluent hypergeometric
-function lives here as well, as its own type (:class:`OUStationary`).
+edges.  The band is symmetric and both the drift beta tanh(beta f) and
+the forcing alpha f are odd, so X_S is odd and B = -A: the slope
+condition at +f_bar fixes the one amplitude in closed form (see
+:func:`solve_smooth_pasting`), and X_S(0) is exactly 0 on any band
+width.  The Gaussian limit is the beta = 0 case of the same solution:
+there r = rho0 = sqrt(2 alpha) / sigma and the particular part reduces
+to f, so X_S is f + a sinh(rho0 f).  The mean-reverting stationary
+solution built on the confluent hypergeometric function lives here as
+well, as its own type (:class:`OUStationary`).
 
 Internally the homogeneous terms are carried in boundary-anchored form,
 A~ e^{r (f - f_bar)} and B~ e^{-r (f + f_bar)}, whose exponents never
@@ -50,13 +53,12 @@ __all__ = [
 class StationarySolution:
     """Smooth-pasted DMPS stationary solution on the band [-f_bar, f_bar].
 
-    ``a_anchor`` and ``b_anchor`` multiply the boundary-anchored terms
-    e^{r (f - f_bar)} and e^{-r (f + f_bar)}.
+    ``a_anchor`` multiplies the boundary-anchored term e^{r (f - f_bar)}
+    and ``-a_anchor`` its mirror image e^{-r (f + f_bar)}, so X_S is odd.
     """
 
     params: ModelParams
     a_anchor: float
-    b_anchor: float
 
 
 @dataclass(frozen=True)
@@ -122,7 +124,7 @@ def _anchored_terms(sol: StationarySolution, arr: np.ndarray):
     bf = np.abs(p.beta * arr)
     sech_gain = 2.0 / (1.0 + np.exp(-2.0 * bf))
     e_plus = sol.a_anchor * np.exp(r * (arr - p.f_bar) - bf) * sech_gain
-    e_minus = sol.b_anchor * np.exp(-r * (arr + p.f_bar) - bf) * sech_gain
+    e_minus = -sol.a_anchor * np.exp(-r * (arr + p.f_bar) - bf) * sech_gain
     return e_plus, e_minus, r
 
 
@@ -144,7 +146,7 @@ def _sine_moments(sol: StationarySolution, u: np.ndarray) -> np.ndarray:
     k = u / fb
     s, c = np.sin(u), np.cos(u)
     e = math.exp(-2.0 * r * fb)
-    homog = (sol.a_anchor - sol.b_anchor) * (
+    homog = 2.0 * sol.a_anchor * (
         (r * s * (1.0 + e) - k * c * (1.0 - e)) / (r * r + k * k)
     )
     ch, sh = math.cosh(b * fb), math.sinh(b * fb)
@@ -159,46 +161,24 @@ def _sine_moments(sol: StationarySolution, u: np.ndarray) -> np.ndarray:
 def solve_smooth_pasting(params: ModelParams) -> StationarySolution:
     """Stationary solution with zero slope at both band edges +-f_bar.
 
-    The 2x2 system for (A, B) is assembled in boundary-anchored variables
-    so its scale stays O(1), solved by elimination with partial pivoting,
-    and raises :class:`SingularSystemError` below determinant 1e-14.
+    X_S is odd, so the anchored constants are a and -a and the slope at
+    -f_bar vanishes with the slope at +f_bar.  With X_P = Y_P / cosh(beta
+    f) and t = tanh(beta f_bar), that one condition gives
+
+        a = -cosh(beta f_bar) X_P'(f_bar)
+            / [(r - beta t) + (r + beta t) e^{-2 r f_bar}],
+
+    whose denominator is positive because r > beta.
     """
     validate(params)
-    fb = params.f_bar
+    fb, b = params.f_bar, params.beta
+    if b * fb > 700.0:
+        raise OverflowError("smooth-pasting amplitudes exceed the floating range")
     r = _growth_rate(params)
-    b = params.beta
-
-    # Y-space slope conditions at each edge, unknowns anchored at the
-    # opposite boundary: u(f) = At*e^{r(f-fb)} + Bt*e^{-r(f+fb)} + Y_P(f)
-    rows = []
-    rhs = []
-    for f_star in (fb, -fb):
-        if abs(b * f_star) > 700.0:
-            raise OverflowError("smooth-pasting amplitudes exceed the floating range")
-        t = math.tanh(b * f_star)
-        ch = math.cosh(b * f_star)
-        rows.append(
-            [
-                (r - b * t) * math.exp(r * (f_star - fb)),
-                (-r - b * t) * math.exp(-r * (f_star + fb)),
-            ]
-        )
-        rhs.append(-ch * float(_particular_d1(params, f_star)))
-    (m11, m12), (m21, m22) = rows
-    det = m11 * m22 - m12 * m21
-    scale = max(abs(m11), abs(m12), abs(m21), abs(m22), 1.0)
-    if abs(det) < 1e-14 * scale * scale:
-        raise SingularSystemError("smooth-pasting system is singular (degenerate band)")
-    # 2x2 elimination with partial pivoting
-    if abs(m11) >= abs(m21):
-        fac = m21 / m11
-        bt = (rhs[1] - fac * rhs[0]) / (m22 - fac * m12)
-        at = (rhs[0] - m12 * bt) / m11
-    else:
-        fac = m11 / m21
-        bt = (rhs[0] - fac * rhs[1]) / (m12 - fac * m22)
-        at = (rhs[1] - m22 * bt) / m21
-    return StationarySolution(params=params, a_anchor=at, b_anchor=bt)
+    t = math.tanh(b * fb)
+    slope = (r - b * t) + (r + b * t) * math.exp(-2.0 * r * fb)
+    a = -math.cosh(b * fb) * float(_particular_d1(params, fb)) / slope
+    return StationarySolution(params=params, a_anchor=a)
 
 
 def ou_stationary(lambda_speed: float, mu: float, params: ModelParams) -> OUStationary:

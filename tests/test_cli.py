@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from targetzone import ValidationError
+import targetzone.cli
+from targetzone import ValidationError, build_transient, estimate_density, exchange_paths, simulate
 from targetzone.cli import load_scenario, main, run_command
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "targetzone" / "scenarios"
@@ -163,6 +164,34 @@ def test_density_runs_are_byte_identical(tmp_path):
     a = run_command("density", scn, tmp_path / "a.json")
     b = run_command("density", scn, tmp_path / "b.json")
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_density_maps_only_the_window(tmp_path, monkeypatch):
+    scn = write_scenario(tmp_path, "sim.json", {**SMALL_SIM, "density": {
+        "target": "exchange", "n_bins": 21, "range": "band", "t_window": [0.25, 0.75]}})
+    seen = {}
+
+    def simulated(cfg, threads):
+        seen["ens"] = simulate(cfg, threads=threads)
+        return seen["ens"]
+
+    def mapped(ens, ts):
+        seen["columns"] = ens.fundamentals.shape[1]
+        return exchange_paths(ens, ts)
+
+    monkeypatch.setattr(targetzone.cli, "simulate", simulated)
+    monkeypatch.setattr(targetzone.cli, "exchange_paths", mapped)
+    doc = json.loads(run_command("density", scn, tmp_path / "d.json").read_text())
+    ens = seen["ens"]
+    n = len(ens.times) - 1
+    j0, j1 = int(0.25 * n), int(0.75 * n) + 1
+    assert j0 > 0
+    assert seen["columns"] == j1 - j0
+    p = ens.config.params
+    full = exchange_paths(ens, build_transient(p, K=SMALL_SIM["transient"]["K"]))
+    ref = estimate_density(full[:, j0:j1].ravel(order="K"), 21, (-p.f_bar, p.f_bar))
+    assert doc["density"] == ref.density.tolist()
+    assert doc["bin_edges"] == ref.bin_edges.tolist()
 
 
 def test_threads_do_not_change_output(tmp_path):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -25,6 +26,39 @@ def closed_form_gaussian(p, f):
     rho0 = math.sqrt(2.0 * p.alpha / p.sigma**2)
     return f - np.sinh(rho0 * f) / (rho0 * math.cosh(rho0 * p.f_bar))
 
+
+def reference_stationary(p, f):
+    """X_S at each f in 50-digit mpmath, from the general 2x2 pasting system.
+
+    Both edge slopes are imposed on e^{r f} and e^{-r f} separately, so
+    the oddness the library builds in is checked here, not assumed.
+    """
+    with mpmath.workdps(50):
+        alpha, beta, sigma, fb = (mpmath.mpf(v) for v in (p.alpha, p.beta, p.sigma, p.f_bar))
+        r = mpmath.sqrt(beta**2 + 2 * alpha / sigma**2)
+        d = 2 * alpha + beta**2 * (1 - sigma**2)
+
+        def particular(f):  # X_P
+            return 2 * alpha / d**2 * (f * d + 2 * beta * sigma**2 * mpmath.tanh(beta * f))
+
+        def basis(f):
+            return mpmath.exp(r * f) / mpmath.cosh(beta * f), mpmath.exp(-r * f) / mpmath.cosh(beta * f)
+
+        def slope_row(f):
+            return [mpmath.diff(lambda g: basis(g)[i], f) for i in (0, 1)], -mpmath.diff(particular, f)
+
+        def x_s(f):
+            e_plus, e_minus = basis(mpmath.mpf(f))
+            return c[0] * e_plus + c[1] * e_minus + particular(mpmath.mpf(f))
+
+        rows, rhs = zip(slope_row(fb), slope_row(-fb))
+        c = mpmath.lu_solve(mpmath.matrix(rows), mpmath.matrix(rhs))
+        return np.array([float(x_s(v)) for v in np.atleast_1d(f)])
+
+
+# alpha 0.8, beta 1, sigma 1 on bands narrow enough that an elimination of
+# the 2x2 system loses the oddness (f_bar = 1e-16 made it singular)
+NARROW_BANDS = [dataclasses.replace(FIG_PARAMS[1.0], f_bar=fb) for fb in (1e-2, 1e-4, 1e-8, 1e-12, 1e-16)]
 
 # beta = 0 sets: sigma in {0.1, 0.5, 1, 2} at the fig-2 band, plus fig6
 GAUSSIAN_PARAMS = [dataclasses.replace(FIG_PARAMS[0.0], sigma=s) for s in (0.1, 0.5, 1.0, 2.0)] + [
@@ -56,17 +90,22 @@ def test_smooth_pasting_by_finite_differences(beta):
 
 
 def test_constants_antisymmetric_on_symmetric_band():
-    for beta in (0.0, 1.0, 5.0):
-        sol = solve_smooth_pasting(FIG_PARAMS[beta])
-        assert sol.a_anchor == pytest.approx(-sol.b_anchor, rel=1e-12)
-        assert eval_stationary(sol, 0.0) == pytest.approx(0.0, abs=1e-14)
+    # the anchored constants are a_anchor and -a_anchor by construction
+    for p in FIG_PARAMS.values():
+        assert eval_stationary(solve_smooth_pasting(p), 0.0) == 0.0, p
+    # the O(1) anchored terms cancel to O(f_bar): 1e-15 is a few of their ulps
+    for p in NARROW_BANDS:
+        sol = solve_smooth_pasting(p)
+        assert eval_stationary(sol, 0.0) == 0.0, p
+        f = np.linspace(-p.f_bar, p.f_bar, 41)
+        assert np.abs(eval_stationary(sol, f) - reference_stationary(p, f)).max() <= 1e-15, p
 
 
 def test_solution_is_odd():
-    p = FIG_PARAMS[5.0]
-    sol = solve_smooth_pasting(p)
-    f = np.linspace(0.0, p.f_bar, 80)
-    assert np.abs(eval_stationary(sol, f) + eval_stationary(sol, -f)).max() < 1e-10
+    for p in [FIG_PARAMS[5.0], *NARROW_BANDS]:
+        sol = solve_smooth_pasting(p)
+        f = np.linspace(0.0, p.f_bar, 80)
+        assert np.array_equal(eval_stationary(sol, -f), -eval_stationary(sol, f)), p
 
 
 def test_gaussian_limit_matches_closed_form():
@@ -133,9 +172,12 @@ def test_small_beta_continuity_with_gaussian_limit():
 
 
 def test_degenerate_band_is_singular():
-    p = dataclasses.replace(FIG_PARAMS[1.0], f_bar=1e-16)
-    with pytest.raises(SingularSystemError):
-        solve_smooth_pasting(p)
+    # the mean-reverting solver still solves a 2x2 system; the DMPS solve
+    # has a closed form that is exact on this band (see NARROW_BANDS)
+    p = ModelParams(alpha=0.8, beta=0.0, sigma=1.0, f_bar=1e-16, r_share=0.0)
+    for mu in (0.0, 0.02):
+        with pytest.raises(SingularSystemError):
+            ou_stationary(1.0, mu, p)
 
 
 def test_ou_mu_zero_forces_amplitude_zero():

@@ -92,13 +92,13 @@ def test_stiff_projection_matches_high_precision():
         fb, b = mpmath.mpf(p.f_bar), mpmath.mpf(p.beta)
         r = mpmath.sqrt(b**2 + 2 * mpmath.mpf(p.alpha) / mpmath.mpf(p.sigma) ** 2)
         d = 2 * mpmath.mpf(p.alpha) + b**2 * (1 - mpmath.mpf(p.sigma) ** 2)
-        a_t, b_t = mpmath.mpf(sol.a_anchor), mpmath.mpf(sol.b_anchor)
+        a_t = mpmath.mpf(sol.a_anchor)
 
         def x_cosh(f):  # X_S(f) cosh(beta f), from the anchored closed form
             particular = 2 * p.alpha / d**2 * (
                 f * d * mpmath.cosh(b * f) + 2 * b * p.sigma**2 * mpmath.sinh(b * f)
             )
-            return a_t * mpmath.exp(r * (f - fb)) + b_t * mpmath.exp(-r * (f + fb)) + particular
+            return a_t * (mpmath.exp(r * (f - fb)) - mpmath.exp(-r * (f + fb))) + particular
 
         for k in (1, 40):
             u = mpmath.sqrt(2) * mpmath.mpf(ts.spectrum.eigenvalues[k - 1]) * fb / p.sigma
