@@ -25,7 +25,7 @@ from .mc import (
     exchange_paths,
     simulate,
 )
-from .params import ModelParams, RngStream, uniform_grid, validate
+from .params import ModelParams, RngStream, uniform_grid
 from .specfun import kummer_1f1
 from .spectral import (
     FeasibilityReport,
@@ -104,5 +104,4 @@ __all__ = [
     "stationary_ode_residual",
     "surface",
     "uniform_grid",
-    "validate",
 ]

@@ -34,7 +34,7 @@ from .mc import (
     exchange_paths,
     simulate,
 )
-from .params import ModelParams, uniform_grid, validate
+from .params import ModelParams, uniform_grid
 from .spectral import (
     build_spectrum,
     ou_asymptotic_spectrum,
@@ -138,7 +138,7 @@ def _nums(scn: dict, key: str, default: list) -> list[float]:
 def _model(scn: dict) -> ModelParams:
     if "alpha" not in scn["model"]:
         raise ValidationError("model.alpha is required")
-    params = ModelParams(
+    return ModelParams(
         alpha=_num(scn, "model.alpha"),
         beta=_num(scn, "model.beta", 0.0),
         sigma=_num(scn, "model.sigma", 1.0),
@@ -146,7 +146,6 @@ def _model(scn: dict) -> ModelParams:
         horizon_T=_num(scn, "model.horizon_T", 3.0),
         r_share=_num(scn, "model.r_share", 0.0),
     )
-    return validate(params)
 
 
 def _sim_config(scn: dict, params: ModelParams, seed_override: int | None) -> SimConfig:

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, NumericalError
-from .params import ModelParams, validate
+from .params import ModelParams
 from .roots import bisect_newton, expand_bracket
 from .spectral import spread_coefficient
 
@@ -49,7 +49,6 @@ def gaussian_contact(F: float, params: ModelParams) -> float:
     by bisection on [F, F + 1/rho0] (which always brackets the unique
     root) followed by a Newton polish to 1e-12.
     """
-    validate(params)
     if params.beta != 0.0:
         raise DomainError("gaussian_contact requires beta = 0")
     if not (math.isfinite(F) and F > 0.0):
@@ -89,7 +88,6 @@ def classify_honeymoon(
     Root-search failures yield an explicit "inconclusive" report, never a
     silent classification.
     """
-    validate(params)
     if not (math.isfinite(F) and F > 0.0):
         raise DomainError("target level F must be positive and finite")
     if not math.isfinite(omega):

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -42,7 +43,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .params import ModelParams, RngStream, validate
+from .params import ModelParams, RngStream
 from .stationary import eval_stationary
 from .transient import TransientSolution, eval_transient
 
@@ -69,7 +70,14 @@ _XS_SLAB = 1 << 15
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation inputs; dt defaults to the expectation-update time 1/alpha."""
+    """Simulation inputs; dt defaults to the expectation-update time 1/alpha.
+
+    The constructor, and so ``dataclasses.replace``, raises
+    :class:`DomainError` unless n_paths >= 1, seed >= 0, the resolved dt is
+    finite and positive, drift_mode and intervention are known, kappa lies
+    in (0, 1], and the (n_steps + 1) x n_paths float64 path buffer fits
+    numpy's largest array size.
+    """
 
     params: ModelParams
     n_paths: int = 5000
@@ -79,39 +87,32 @@ class SimConfig:
     seed: int = 0
     kappa: float = 0.9
 
+    def __post_init__(self) -> None:
+        if self.n_paths < 1:
+            raise DomainError("n_paths must be >= 1")
+        if self.seed < 0:
+            raise DomainError("seed must be >= 0")
+        if not 0.0 < self.resolved_dt() < math.inf:
+            raise DomainError("dt must be positive and finite")
+        if self.drift_mode not in DRIFT_MODES:
+            raise DomainError(f"unknown drift_mode {self.drift_mode!r}")
+        if self.intervention not in INTERVENTIONS:
+            raise DomainError(f"unknown intervention {self.intervention!r}")
+        if not 0.0 < self.kappa <= 1.0:
+            raise DomainError("kappa must lie in (0, 1]")
+        try:
+            n_bytes = (self.n_steps() + 1) * self.n_paths * 8
+        except OverflowError:  # horizon_T / dt past the double range
+            n_bytes = math.inf
+        if n_bytes > np.iinfo(np.intp).max:
+            raise DomainError("the n_paths x (n_steps + 1) path buffer exceeds numpy's size limit")
+
     def resolved_dt(self) -> float:
         return 1.0 / self.params.alpha if self.dt is None else self.dt
 
     def n_steps(self) -> int:
-        """Steps over the horizon, at least one; dt must be finite and positive."""
-        dt = self.resolved_dt()
-        if not 0.0 < dt < math.inf:
-            raise DomainError("dt must be positive and finite")
-        return max(1, int(round(self.params.horizon_T / dt)))
-
-
-def _validate_config(config: SimConfig) -> tuple[float, int]:
-    validate(config.params)
-    if config.n_paths < 1:
-        raise DomainError("n_paths must be >= 1")
-    if config.seed < 0:
-        raise DomainError("seed must be >= 0")
-    n_steps = config.n_steps()
-    dt = config.resolved_dt()
-    if config.drift_mode not in DRIFT_MODES:
-        raise DomainError(f"unknown drift_mode {config.drift_mode!r}")
-    if config.intervention not in INTERVENTIONS:
-        raise DomainError(f"unknown intervention {config.intervention!r}")
-    if not 0.0 < config.kappa <= 1.0:
-        raise DomainError("kappa must lie in (0, 1]")
-    ratio = dt * config.params.alpha
-    if not 0.5 <= ratio <= 2.0:
-        warnings.warn(
-            f"dt*alpha = {ratio:.3g} outside [0.5, 2]; the step no longer "
-            "matches the expectation-update frequency",
-            stacklevel=3,
-        )
-    return dt, n_steps
+        """Steps over the horizon, at least one."""
+        return max(1, int(round(self.params.horizon_T / self.resolved_dt())))
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,13 +161,20 @@ def _reflect_into(values: np.ndarray, radius: float) -> np.ndarray:
 def simulate(config: SimConfig, *, threads: int = 1) -> PathEnsemble:
     """Simulate the regulated fundamental; bit-identical for any thread count.
 
-    Threads map over the 256-path noise blocks, each drawn from stream
-    (seed, block), so path i's noise is the same for any n_paths and any
-    thread count.  The time stepping runs over all paths at once, one
-    contiguous time row per step.
+    Threads, at most one per CPU, map over the 256-path noise blocks, each
+    drawn from stream (seed, block), so path i's noise is the same for any
+    n_paths and any thread count.  The time stepping runs over all paths at
+    once, one contiguous time row per step.
     """
-    dt, n_steps = _validate_config(config)
+    dt, n_steps = config.resolved_dt(), config.n_steps()
     p = config.params
+    ratio = dt * p.alpha
+    if not 0.5 <= ratio <= 2.0:
+        warnings.warn(
+            f"dt*alpha = {ratio:.3g} outside [0.5, 2]; the step no longer "
+            "matches the expectation-update frequency",
+            stacklevel=2,
+        )
     times = np.arange(n_steps + 1) * dt
     n = config.n_paths
     bernoulli = config.drift_mode == "bernoulli"
@@ -179,11 +187,12 @@ def simulate(config: SimConfig, *, threads: int = 1) -> PathEnsemble:
     signs = np.empty(n) if bernoulli else None
     n_blocks = -(-n // BLOCK)
     fill = functools.partial(_fill_block, config.seed, buf=buf, signs=signs)
-    if threads <= 1 or n_blocks < 2:
+    workers = min(threads, n_blocks, os.cpu_count() or 1)
+    if workers <= 1:
         for block in range(n_blocks):
             fill(block)
     else:
-        with ThreadPoolExecutor(max_workers=min(threads, n_blocks)) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, range(n_blocks)))
 
     radius = config.kappa * p.f_bar

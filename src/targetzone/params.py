@@ -1,8 +1,11 @@
-"""Model parameters, validation, fundamental grids, and random streams.
+"""Model parameters, fundamental grids, and random streams.
 
 Every other module consumes :class:`ModelParams` and (for simulation) a
 :class:`RngStream`.  All types here are immutable after construction and
-safe to share across threads.
+safe to share across threads.  A :class:`ModelParams` holds only values
+inside the model's parameter box: the constructor, and therefore
+``dataclasses.replace``, refuses any other with :class:`DomainError`, so
+no consumer checks them again.
 
 Units are a documented convention, never enforced: time in years, the
 fundamental in log units.  The band is the symmetric interval
@@ -17,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["ModelParams", "RngStream", "validate", "uniform_grid"]
+__all__ = ["ModelParams", "RngStream", "uniform_grid"]
 
 
 @dataclass(frozen=True)
@@ -41,35 +44,30 @@ class ModelParams:
     horizon_T: float = 3.0
     r_share: float = 0.0
 
+    def __post_init__(self) -> None:
+        """Raise :class:`DomainError` naming the first violated invariant."""
+        if not np.isfinite(self.alpha) or self.alpha <= 0.0:
+            raise DomainError("alpha must be positive")
+        if not np.isfinite(self.sigma) or self.sigma <= 0.0:
+            raise DomainError("sigma must be positive")
+        if not np.isfinite(self.f_bar) or self.f_bar <= 0.0:
+            raise DomainError("f_bar must be positive")
+        if not np.isfinite(self.horizon_T) or self.horizon_T <= 0.0:
+            raise DomainError("horizon_T must be positive")
+        if not np.isfinite(self.beta) or self.beta < 0.0:
+            raise DomainError("beta must be non-negative")
+        if not 0.0 <= self.r_share < 1.0:
+            raise DomainError("r_share must lie in [0, 1)")
+        try:
+            rho = self.rho()
+        except OverflowError:  # a float beta**2 past the double range raises
+            rho = np.inf
+        if not np.isfinite(rho):
+            raise DomainError("rho = beta^2/2 + alpha must be finite")
+
     def rho(self) -> float:
         """Composite decay frequency beta^2/2 + alpha."""
         return 0.5 * self.beta**2 + self.alpha
-
-
-def validate(params: ModelParams) -> ModelParams:
-    """Return ``params`` unchanged if all invariants hold.
-
-    Raises :class:`DomainError` naming the first violated invariant.
-    """
-    if not np.isfinite(params.alpha) or params.alpha <= 0.0:
-        raise DomainError("alpha must be positive")
-    if not np.isfinite(params.sigma) or params.sigma <= 0.0:
-        raise DomainError("sigma must be positive")
-    if not np.isfinite(params.f_bar) or params.f_bar <= 0.0:
-        raise DomainError("f_bar must be positive")
-    if not np.isfinite(params.horizon_T) or params.horizon_T <= 0.0:
-        raise DomainError("horizon_T must be positive")
-    if not np.isfinite(params.beta) or params.beta < 0.0:
-        raise DomainError("beta must be non-negative")
-    if not 0.0 <= params.r_share < 1.0:
-        raise DomainError("r_share must lie in [0, 1)")
-    try:
-        rho = params.rho()
-    except OverflowError:  # a float beta**2 past the double range raises
-        rho = np.inf
-    if not np.isfinite(rho):
-        raise DomainError("rho = beta^2/2 + alpha must be finite")
-    return params
 
 
 def uniform_grid(params: ModelParams, n_points: int) -> np.ndarray:

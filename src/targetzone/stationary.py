@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SingularSystemError
-from .params import ModelParams, validate
+from .params import ModelParams
 from .specfun import kummer_1f1
 
 __all__ = [
@@ -170,7 +170,6 @@ def solve_smooth_pasting(params: ModelParams) -> StationarySolution:
 
     whose denominator is positive because r > beta.
     """
-    validate(params)
     fb, b = params.f_bar, params.beta
     if b * fb > 700.0:
         raise OverflowError("smooth-pasting amplitudes exceed the floating range")
@@ -193,7 +192,6 @@ def ou_stationary(lambda_speed: float, mu: float, params: ModelParams) -> OUStat
     particular part has zero slope, so A = B = 0 and X_S is the constant
     r alpha / [lambda (1-r) + alpha]: at r = 0, X_S is identically 0.
     """
-    validate(params)
     if not (math.isfinite(lambda_speed) and lambda_speed > 0.0):
         raise DomainError("lambda_speed must be positive and finite")
     if not math.isfinite(mu):

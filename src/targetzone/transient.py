@@ -65,8 +65,9 @@ def _u_values(spectrum: Spectrum) -> np.ndarray:
 def fourier_coeffs(sol: StationarySolution, spectrum: Spectrum) -> np.ndarray:
     """Expansion coefficients of -X_S over the sine eigenmodes, all K at once.
 
-    Needs the dmps stationary solution; a Gaussian or mean-reverting one
-    raises :class:`DomainError`.
+    Needs a dmps :class:`StationarySolution`, the Gaussian limit beta = 0
+    included; the mean-reverting :class:`OUStationary` raises
+    :class:`DomainError`.
     """
     if sol.params is not spectrum.params and sol.params != spectrum.params:
         raise DomainError("stationary solution and spectrum must share params")

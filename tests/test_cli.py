@@ -119,6 +119,8 @@ MALFORMED = (
     ("ou", {"ou": {"n_points": 1}}, []),
     ("simulate", {"sim": {"n_paths": 0}}, []),
     ("density", {"sim": {"dt": float("nan")}}, []),
+    # finite and positive, but no addressable (n_steps + 1) x n_paths buffer
+    ("simulate", {"sim": {"n_paths": 4, "dt": 1e-300}}, []),
     ("honeymoon", {"honeymoon": {"F": float("nan")}}, []),
     ("honeymoon", {"honeymoon": {"F": float("inf")}}, []),
     ("honeymoon", {"honeymoon": {"omega": float("nan")}}, []),

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -44,24 +46,63 @@ def trapz_norm(vals, centers):
 # ---------------------------------------------------------------- config
 
 
+BAD_CONFIG = (
+    (dict(n_paths=0), "n_paths"),
+    (dict(seed=-1), "seed"),
+    (dict(dt=-0.1), "dt must"),
+    (dict(dt=math.nan), "dt must"),
+    (dict(dt=math.inf), "dt must"),
+    # 1e300 steps, and horizon_T / dt = inf: no addressable path buffer
+    (dict(dt=1e-300), "path buffer"),
+    (dict(dt=5e-324), "path buffer"),
+    (dict(drift_mode="levy"), "drift_mode"),
+    (dict(intervention="none"), "intervention"),
+    (dict(kappa=0.0), "kappa"),
+    (dict(kappa=math.nan), "kappa"),
+)
+
+
 def test_config_validation():
-    with pytest.raises(DomainError):
-        simulate(quiet_config(n_paths=0))
-    with pytest.raises(DomainError):
-        simulate(quiet_config(dt=-0.1))
-    with pytest.raises(DomainError):
-        simulate(quiet_config(drift_mode="levy"))
-    with pytest.raises(DomainError):
-        simulate(quiet_config(intervention="none"))
-    with pytest.raises(DomainError):
-        simulate(quiet_config(kappa=0.0))
-    with pytest.raises(DomainError):
-        simulate(quiet_config(seed=-1))
+    valid = quiet_config()
+    for bad, message in BAD_CONFIG:
+        with pytest.raises(DomainError, match=message):
+            quiet_config(**bad)
+        with pytest.raises(DomainError, match=message):
+            dataclasses.replace(valid, **bad)
+    # numpy's limit on the (n_steps + 1) x n_paths float64 buffer, at one step
+    limit = (np.iinfo(np.intp).max + 1) // 16
+    assert quiet_config(dt=1.0, n_paths=limit - 1).n_steps() == 1
+    with pytest.raises(DomainError, match="path buffer"):
+        quiet_config(dt=1.0, n_paths=limit)
 
 
 def test_step_frequency_mismatch_warns():
-    with pytest.warns(UserWarning, match="dt\\*alpha"):
+    with pytest.warns(UserWarning, match="dt\\*alpha") as record:
         simulate(quiet_config(dt=1.0, n_paths=4))
+    assert record[0].filename == __file__
+
+
+def test_noise_threads_capped_at_cpu_count(monkeypatch):
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(targetzone.mc, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cfg = quiet_config(n_paths=4 * targetzone.mc.BLOCK)
+    ens = simulate(cfg, threads=64)
+    assert asked == [2]
+    assert np.array_equal(ens.fundamentals, simulate(cfg).fundamentals)
 
 
 def test_default_dt_is_update_time():

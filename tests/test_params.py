@@ -1,43 +1,61 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
-from targetzone import DomainError, ModelParams, RngStream, uniform_grid, validate
+from targetzone import DomainError, ModelParams, RngStream, uniform_grid
+
+REFERENCE = dict(alpha=0.8, beta=1.0, sigma=1.0, f_bar=0.1, horizon_T=3.0, r_share=0.0)
+
+# (field, value, start of the DomainError message); every float field also
+# refuses NaN and +-inf
+INVALID = [
+    ("alpha", 0.0, "alpha"),
+    ("alpha", -1.0, "alpha"),
+    ("f_bar", 0.0, "f_bar"),
+    ("horizon_T", -2.0, "horizon_T"),
+    ("beta", -0.5, "beta"),
+    ("r_share", 1.0, "r_share"),
+    ("r_share", -0.1, "r_share"),
+    ("beta", 1e200, "rho"),
+] + [(field, bad, field) for field in REFERENCE for bad in (math.nan, math.inf, -math.inf)]
 
 
 def test_validate_accepts_reference_parameters():
-    p = ModelParams(alpha=0.8, beta=1.0, sigma=1.0, f_bar=0.1, horizon_T=3.0, r_share=0.0)
-    assert validate(p) is p
+    p = ModelParams(**REFERENCE)
+    assert dataclasses.asdict(p) == REFERENCE
+    assert dataclasses.replace(p) == p
 
 
 def test_validate_accepts_gaussian_limit():
     p = ModelParams(alpha=0.8, beta=0.0, sigma=1.0, f_bar=0.1, horizon_T=3.0)
-    assert validate(p) is p
+    assert p.beta == 0.0 and p.rho() == p.alpha
 
 
 def test_validate_rejects_zero_sigma():
-    p = ModelParams(alpha=0.8, beta=1.0, sigma=0.0, f_bar=0.1)
     with pytest.raises(DomainError, match="sigma must be positive"):
-        validate(p)
+        ModelParams(alpha=0.8, beta=1.0, sigma=0.0, f_bar=0.1)
 
 
-@pytest.mark.parametrize(
-    "field,value,message",
-    [
-        ("alpha", 0.0, "alpha"),
-        ("alpha", -1.0, "alpha"),
-        ("f_bar", 0.0, "f_bar"),
-        ("horizon_T", -2.0, "horizon_T"),
-        ("beta", -0.5, "beta"),
-        ("r_share", 1.0, "r_share"),
-        ("r_share", -0.1, "r_share"),
-        ("beta", 1e200, "rho"),
-    ],
-)
+@pytest.mark.parametrize("field,value,message", INVALID)
 def test_validate_names_the_violated_field(field, value, message):
-    kwargs = dict(alpha=0.8, beta=1.0, sigma=1.0, f_bar=0.1, horizon_T=3.0, r_share=0.0)
-    kwargs[field] = value
-    with pytest.raises(DomainError, match=message):
-        validate(ModelParams(**kwargs))
+    with pytest.raises(DomainError, match=f"^{message}"):
+        ModelParams(**{**REFERENCE, field: value})
+
+
+@pytest.mark.parametrize("field,value,message", INVALID)
+def test_replace_refuses_what_construction_refuses(field, value, message):
+    valid = ModelParams(**REFERENCE)
+    with pytest.raises(DomainError, match=f"^{message}"):
+        dataclasses.replace(valid, **{field: value})
+
+
+def test_first_violated_invariant_is_named():
+    with pytest.raises(DomainError, match="^alpha"):
+        ModelParams(alpha=0.0, beta=-1.0, sigma=0.0, f_bar=0.0, horizon_T=0.0, r_share=2.0)
+    with pytest.raises(DomainError, match="^sigma"):
+        ModelParams(alpha=0.8, beta=math.nan, sigma=0.0, f_bar=math.nan)
 
 
 def test_rho_values():
