@@ -15,7 +15,7 @@ from .errors import (
     SingularSystemError,
     ValidationError,
 )
-from .honeymoon import ContactReport, classify_honeymoon, gaussian_contact
+from .honeymoon import ContactReport, classify_honeymoon
 from .mc import (
     DensityEstimate,
     PathEnsemble,
@@ -90,7 +90,6 @@ __all__ = [
     "eval_transient",
     "exchange_paths",
     "fourier_coeffs",
-    "gaussian_contact",
     "kummer_1f1",
     "ou_asymptotic_spectrum",
     "ou_stationary",

@@ -16,13 +16,15 @@ import numpy as np
 
 from .errors import BracketError
 
-__all__ = ["bisect_newton", "expand_bracket"]
+__all__ = ["bisect_newton"]
 
-# Bisection steps (the ~4-ulp width rule stops far sooner) and the
-# geometric growth of expand_bracket.
+# Bisection steps; the ~4-ulp width rule stops far sooner.
 _MAX_ITER = 200
-_EXPAND_FACTOR = 2.0
-_MAX_EXPANSIONS = 60
+
+# A lane stops at |func| <= _FTOL or at a bracket ~4 ulp wide, whichever
+# comes first.  High spectral modes end on the width rule with a residual
+# near ulp(u) * |slope| (about 2e-10 at K = 240), not 1e-12.
+_FTOL = 1e-12
 
 
 def bisect_newton(
@@ -31,9 +33,8 @@ def bisect_newton(
     hi: float | np.ndarray,
     *,
     dfunc: Callable | None = None,
-    ftol: float = 1e-13,
 ) -> float | np.ndarray:
-    """Roots of ``func`` in [lo, hi], one per lane, refined until |func| <= ftol.
+    """Roots of ``func`` in [lo, hi], one per lane, refined until |func| <= 1e-12.
 
     ``lo`` and ``hi`` are scalars or arrays of one shape; ``func`` and
     ``dfunc`` map an array of that shape to one of the same shape.  A lane
@@ -46,7 +47,7 @@ def bisect_newton(
     hi = np.asarray(hi, dtype=float)
     flo = np.asarray(func(lo), dtype=float)
     fhi = np.asarray(func(hi), dtype=float)
-    bad = flo * fhi > 0.0
+    bad = np.sign(flo) * np.sign(fhi) > 0.0  # signs: a product of residuals may under- or overflow
     if bad.any():
         i = np.flatnonzero(bad)[0]
         raise BracketError(
@@ -59,10 +60,11 @@ def bisect_newton(
     for _ in range(_MAX_ITER):
         x = 0.5 * (a + b)  # a stopped lane keeps its a and b, hence its x
         fx = np.asarray(func(x), dtype=float)
-        live &= ~((np.abs(fx) <= ftol) | ((b - a) <= 4.0 * np.abs(x) * 2.2e-16))
+        # the width rule scales |x| last: 4 |x| may overflow
+        live &= ~((np.abs(fx) <= _FTOL) | ((b - a) <= np.abs(x) * (4.0 * 2.2e-16)))
         if not live.any():
             break
-        left = live & (fa * fx <= 0.0)
+        left = live & ((fa < 0.0) != (fx < 0.0))  # live lanes have fa != 0 and fx != 0
         right = live & ~left
         b = np.where(left, x, b)
         a = np.where(right, x, a)
@@ -72,7 +74,7 @@ def bisect_newton(
         for _ in range(8):
             fx = np.asarray(func(x), dtype=float)
             dfx = np.asarray(dfunc(x), dtype=float)
-            live &= ~(np.abs(fx) <= ftol) & (dfx != 0.0)
+            live &= ~(np.abs(fx) <= _FTOL) & (dfx != 0.0)
             if not live.any():
                 break
             x_new = x - fx / np.where(live, dfx, 1.0)
@@ -80,21 +82,3 @@ def bisect_newton(
             x = np.where(live, x_new, x)
     x = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, x))
     return float(x) if x.ndim == 0 else x
-
-
-def expand_bracket(
-    func: Callable[[float], float],
-    lo: float,
-    hi: float,
-) -> tuple[float, float]:
-    """Grow ``hi`` geometrically until [lo, hi] brackets a sign change."""
-    flo = func(lo)
-    fhi = func(hi)
-    n = 0
-    while flo * fhi > 0.0:
-        n += 1
-        if n > _MAX_EXPANSIONS:
-            raise BracketError("bracket expansion exhausted without sign change")
-        hi = lo + (hi - lo) * _EXPAND_FACTOR
-        fhi = func(hi)
-    return lo, hi

@@ -49,14 +49,10 @@ __all__ = [
     "ou_asymptotic_spectrum",
 ]
 
-# Root search stops at |u*cot(u) - c| <= _U_TOL or at a bracket ~4 ulp
-# wide, whichever comes first.  High modes end on the width rule with a
-# residual near ulp(u) * |slope| (about 2e-10 at K = 240), not 1e-12.
-_U_TOL = 1e-12
-
-# x* with x* tanh(x*) = 1, as bisection plus Newton to ftol 1e-15 returns
-# it.  1.1996786402577337 has the smaller residual, but this value keeps
-# every regime_threshold result bit-identical to that solve.
+# x* with x* tanh(x*) = 1, as bisection plus Newton stopped at
+# |x tanh(x) - 1| <= 1e-15 returns it.  1.1996786402577337 has the
+# smaller residual, but this value keeps every regime_threshold result
+# bit-identical to that solve.
 _X_STAR = 1.1996786402577335
 
 
@@ -132,7 +128,7 @@ def _u_roots(c: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     # float_power rounds as the scalar pow(s, 2.0); s ** 2 squares, which
     # differs from it in the last bit on about 0.1% of inputs.
     dg = lambda u: np.cos(u) / np.sin(u) - u / np.float_power(np.sin(u), 2.0)
-    return bisect_newton(g, lo, hi, dfunc=dg, ftol=_U_TOL), lo, hi
+    return bisect_newton(g, lo, hi, dfunc=dg), lo, hi
 
 
 def build_spectrum(params: ModelParams, K: int) -> Spectrum:

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -152,6 +153,10 @@ def test_cli_exit_codes(tmp_path):
          "ou": {"lambda_speed": 1.0, "mu": 0.02, "K": 2, "n_points": 5}},
     )
     assert main(["ou", "--config", str(blowup), "--out", str(tmp_path / "y")]) == 3
+    # a valid model whose contact point 1/(rho - beta) lies past the double range
+    far = write_scenario(tmp_path, "far.json", {"model": {"alpha": 1e-300, "beta": 1e150},
+                                                "honeymoon": {"F": 0.1}})
+    assert main(["honeymoon", "--config", str(far), "--out", str(tmp_path / "z")]) == 3
 
 
 def test_cli_success_exit_code(tmp_path, capsys):
@@ -236,6 +241,12 @@ def test_honeymoon_and_ou_reports(tmp_path):
     )
     payload = json.loads(run_command("honeymoon", scn, tmp_path / "h.out").read_text())
     assert payload["applicable"] is True
+    # rho - beta is taken without cancellation, so a large beta is answered
+    large = write_scenario(tmp_path, "hb.json", {"model": {"alpha": 0.8, "beta": 1e9},
+                                                 "honeymoon": {"F": 0.1}})
+    assert main(["honeymoon", "--config", str(large), "--out", str(tmp_path / "hb.out")]) == 0
+    payload = json.loads((tmp_path / "hb.out").read_text())
+    assert payload["status"] == "ok" and math.isfinite(payload["W"])
     payload = json.loads(
         run_command("ou", SCENARIOS / "ou_stationary.json", tmp_path / "ou.out").read_text()
     )

@@ -25,10 +25,9 @@ from targetzone import (
 from targetzone.roots import bisect_newton
 
 REF = ModelParams(alpha=0.8, beta=1.0, sigma=1.0, f_bar=0.1, horizon_T=3.0)
-U_TOL = 1e-12
 
 
-def scalar_bisect_newton(func, lo, hi, *, dfunc=None, ftol=1e-13):
+def scalar_bisect_newton(func, lo, hi, *, dfunc=None, ftol=1e-12):
     """Reference: one bracket per call, in plain Python floats."""
     flo = func(lo)
     fhi = func(hi)
@@ -73,7 +72,7 @@ def scalar_roots(c, K):
         m = k - 1 if c <= 1.0 else k
         lo = 1e-12 if m == 0 else m * math.pi * (1.0 + 1e-13) + 1e-300
         hi = m * math.pi + 0.5 * math.pi * (1.0 + 1e-9)
-        roots.append(scalar_bisect_newton(g, lo, hi, dfunc=dg, ftol=U_TOL))
+        roots.append(scalar_bisect_newton(g, lo, hi, dfunc=dg))
         brackets.append((lo, hi))
     return np.array(roots), tuple(brackets)
 
@@ -117,7 +116,7 @@ def test_lanes_equal_scalar_reference_at_c_exactly_one():
     lo, hi = np.array(brackets).T
     g = lambda u: u * np.cos(u) / np.sin(u) - 1.0
     dg = lambda u: np.cos(u) / np.sin(u) - u / np.float_power(np.sin(u), 2.0)
-    u = bisect_newton(g, lo, hi, dfunc=dg, ftol=U_TOL)
+    u = bisect_newton(g, lo, hi, dfunc=dg)
     assert u[0] == 1e-12
     assert np.array_equal(u, u_ref)
 
@@ -171,9 +170,19 @@ def test_lanes_equal_their_one_lane_calls_and_zero_endpoints_return():
     lo = np.array([0.0, 0.0, 1.0, 1.0, -1.0])
     hi = np.array([1.0, 1.0, 2.0, 2.0, 3.0])
     cube = lambda x: x * x * x
-    u = bisect_newton(lambda x: cube(x) - t, lo, hi, dfunc=lambda x: 3.0 * x * x, ftol=1e-15)
+    u = bisect_newton(lambda x: cube(x) - t, lo, hi, dfunc=lambda x: 3.0 * x * x)
     assert u[0] == 0.0 and u[3] == 2.0
     for i in range(len(t)):
-        one = bisect_newton(lambda x: cube(x) - t[i], lo[i], hi[i],
-                            dfunc=lambda x: 3.0 * x * x, ftol=1e-15)
+        one = bisect_newton(lambda x: cube(x) - t[i], lo[i], hi[i], dfunc=lambda x: 3.0 * x * x)
         assert u[i] == one
+        assert u[i] == scalar_bisect_newton(lambda x: cube(x) - t[i], lo[i], hi[i],
+                                            dfunc=lambda x: 3.0 * x * x)
+
+
+def test_sign_test_survives_residuals_that_under_or_overflow():
+    # f(lo) * f(x) rounds to 0 when f(lo) is the least subnormal, and to inf
+    # when both are huge; the bisection compares signs, never the product.
+    tiny_lo = lambda x: np.where(x == 0.0, -5e-324, x - 1.5)
+    assert bisect_newton(tiny_lo, 0.0, 2.0) == pytest.approx(1.5, rel=0.0, abs=1e-12)
+    huge = lambda x: (x - 1.5) * 1e300
+    assert bisect_newton(huge, 0.0, 2.0) == 1.5
