@@ -53,7 +53,6 @@ from .transient import (
     build_transient,
     eval_full,
     eval_transient,
-    fourier_coeffs,
     surface,
 )
 
@@ -89,7 +88,6 @@ __all__ = [
     "eval_stationary_derivatives",
     "eval_transient",
     "exchange_paths",
-    "fourier_coeffs",
     "kummer_1f1",
     "ou_asymptotic_spectrum",
     "ou_stationary",

@@ -253,12 +253,8 @@ def exchange_paths(ensemble: PathEnsemble, transient: TransientSolution) -> np.n
     # dropped[j, k]: bound of what modes k.. add to slice j
     dropped = np.cumsum(bounds[:, ::-1], axis=1)[:, ::-1]
     kept = np.count_nonzero(dropped > 1e-16, axis=1)
-    spectrum = transient.spectrum
     for j in np.flatnonzero(kept):
-        k = kept[j]
-        modes = replace(spectrum, eigenvalues=spectrum.eigenvalues[:k],
-                        brackets=spectrum.brackets[:k])
-        view = replace(transient, coeffs=transient.coeffs[:k], spectrum=modes)
+        view = replace(transient, coeffs=transient.coeffs[: kept[j]])
         out[j] += eval_transient(view, float(times[j]), rows[j])
     return out.T
 

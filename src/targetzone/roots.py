@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BracketError
+from .errors import BracketError, ConvergenceError
 
 __all__ = ["bisect_newton"]
 
@@ -42,6 +42,8 @@ def bisect_newton(
     carries each bracket to near machine width; when ``dfunc`` is supplied
     up to 8 Newton steps polish each root, and a lane stops polishing when
     a step would leave its own bracket.  Scalar brackets return a float.
+    Raises :class:`ConvergenceError` when a lane meets neither stop rule
+    within 200 halvings.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -69,6 +71,9 @@ def bisect_newton(
         b = np.where(left, x, b)
         a = np.where(right, x, a)
         fa = np.where(right, fx, fa)
+    else:
+        n = np.count_nonzero(live)
+        raise ConvergenceError(f"{n} of {live.size} brackets open after {_MAX_ITER} halvings")
     if dfunc is not None:
         live = ~ends
         for _ in range(8):

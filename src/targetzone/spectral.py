@@ -55,6 +55,11 @@ __all__ = [
 # bit-identical to that solve.
 _X_STAR = 1.1996786402577335
 
+# Largest accepted spread coefficient c.  At each lower end m pi (1 + 1e-13)
+# u cot u is about 1e13 (within ~0.3%, as fl(m pi) is off by up to half an
+# ulp), so past that no bracket holds a root.
+_C_MAX = 9e12
+
 
 def spread_coefficient(params: ModelParams) -> float:
     """c = beta * f_bar * tanh(beta * f_bar), the bracket selector."""
@@ -119,8 +124,11 @@ def _u_roots(c: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
 
     The k-th root lies in (m*pi, m*pi + pi/2) with m = k - 1 while c <= 1
     and m = k once c > 1; the lower end sits just inside the pole at m*pi,
-    where u*cot(u) -> +inf, or at 1e-12 for m = 0.
+    where u*cot(u) -> +inf, or at 1e-12 for m = 0.  Raises
+    :class:`DomainError` for c above ``_C_MAX``, where no bracket holds one.
     """
+    if np.any(c > _C_MAX):
+        raise DomainError(f"spread coefficient beta f_bar tanh(beta f_bar) exceeds {_C_MAX:g}")
     m = np.where(c <= 1.0, k - 1, k)
     lo = np.where(m == 0, 1e-12, m * math.pi * (1.0 + 1e-13) + 1e-300)
     hi = m * math.pi + 0.5 * math.pi * (1.0 + 1e-9)
@@ -132,7 +140,7 @@ def _u_roots(c: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 def build_spectrum(params: ModelParams, K: int) -> Spectrum:
-    """First ``K`` eigenvalues with their extraction brackets."""
+    """First ``K`` eigenvalues with their extraction brackets; c above 9e12 is refused."""
     if K < 1:
         raise DomainError("spectrum size K must be >= 1")
     c = spread_coefficient(params)

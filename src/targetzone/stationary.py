@@ -138,8 +138,6 @@ def _sine_moments(sol: StationarySolution, u: np.ndarray) -> np.ndarray:
     J_c = int f cosh(beta f) sin(k f) df.
     """
     p = sol.params
-    if not isinstance(sol, StationarySolution):
-        raise DomainError("sine moments need the dmps stationary solution")
     fb, b = p.f_bar, p.beta
     r = _growth_rate(p)
     d = _forcing_scale(p)

@@ -13,7 +13,10 @@ The coefficients are the orthogonal projection
 in the plain L2 inner product under which the Robin-condition sine modes
 are orthogonal.  It makes the terminal condition X*(0, f) = -X_S(f) hold
 exactly in the K -> infinity limit, so X(T, f) -> 0 (terminal parity).
-Both inner products are elementary and evaluated in closed form.
+Both inner products are elementary and evaluated in closed form.  A
+:class:`TransientSolution` sums over the first ``len(coeffs)`` roots of its
+spectrum, so ``dataclasses.replace(ts, coeffs=ts.coeffs[:k])`` is the k-mode
+partial sum.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from .stationary import (
 
 __all__ = [
     "TransientSolution",
-    "fourier_coeffs",
     "build_transient",
     "eval_transient",
     "eval_full",
@@ -46,7 +48,7 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class TransientSolution:
-    """Spectrum, Fourier coefficients, and the stationary part they offset."""
+    """Coefficients over the first ``len(coeffs)`` spectrum roots, and the X_S they offset."""
 
     spectrum: Spectrum
     coeffs: np.ndarray
@@ -54,34 +56,22 @@ class TransientSolution:
 
     def decay_rates(self) -> np.ndarray:
         """Omega_k^2 + rho, the per-mode exponential decay rates."""
-        return self.spectrum.eigenvalues**2 + self.spectrum.params.rho()
+        return self.spectrum.eigenvalues[: len(self.coeffs)] ** 2 + self.spectrum.params.rho()
 
 
-def _u_values(spectrum: Spectrum) -> np.ndarray:
+def _u_values(spectrum: Spectrum, k: int) -> np.ndarray:
     p = spectrum.params
-    return math.sqrt(2.0) * spectrum.eigenvalues * p.f_bar / p.sigma
-
-
-def fourier_coeffs(sol: StationarySolution, spectrum: Spectrum) -> np.ndarray:
-    """Expansion coefficients of -X_S over the sine eigenmodes, all K at once.
-
-    Needs a dmps :class:`StationarySolution`, the Gaussian limit beta = 0
-    included; the mean-reverting :class:`OUStationary` raises
-    :class:`DomainError`.
-    """
-    if sol.params is not spectrum.params and sol.params != spectrum.params:
-        raise DomainError("stationary solution and spectrum must share params")
-    us = _u_values(spectrum)
-    # closed-form L2 norm of each mode: integral of sin(u f / f_bar)^2 over the band
-    norms = spectrum.params.f_bar * (1.0 - np.sin(2.0 * us) / (2.0 * us))
-    return -_sine_moments(sol, us) / norms
+    return math.sqrt(2.0) * spectrum.eigenvalues[:k] * p.f_bar / p.sigma
 
 
 def build_transient(params: ModelParams, K: int = 50) -> TransientSolution:
-    """Spectrum + smooth-pasted stationary + coefficients in one call."""
+    """Spectrum, smooth-pasted X_S and all K coefficients of -X_S, from one ``params``."""
     spectrum = build_spectrum(params, K)
     sol = solve_smooth_pasting(params)
-    coeffs = fourier_coeffs(sol, spectrum)
+    us = _u_values(spectrum, K)
+    # closed-form L2 norm of each mode: integral of sin(u f / f_bar)^2 over the band
+    norms = params.f_bar * (1.0 - np.sin(2.0 * us) / (2.0 * us))
+    coeffs = -_sine_moments(sol, us) / norms
     return TransientSolution(spectrum=spectrum, coeffs=coeffs, stationary=sol)
 
 
@@ -96,7 +86,7 @@ def _transient_rows(ts: TransientSolution, t_grid, f):
     if not np.all((0.0 <= times) & (times <= p.horizon_T * (1.0 + 1e-12))):
         raise DomainError("time outside [0, horizon_T]")
     arr = _check_band(ts.stationary, f)
-    basis = np.sin(np.multiply.outer(arr, _u_values(ts.spectrum) / p.f_bar))
+    basis = np.sin(np.multiply.outer(arr, _u_values(ts.spectrum, len(ts.coeffs)) / p.f_bar))
     damp = np.cosh(p.beta * arr)
     rates = ts.decay_rates()
     return ((basis @ (np.exp(-rates * (p.horizon_T - t)) * ts.coeffs)) / damp for t in times)

@@ -129,6 +129,9 @@ MALFORMED = (
     ("ou", {"ou": {"lambda_speed": float("inf")}}, []),
     ("ou", {"ou": {"mu": float("nan")}}, []),
     ("ou", {"ou": {"mu": float("-inf")}}, []),
+    # c = beta f_bar tanh(beta f_bar) = 1e14: no eigenvalue bracket holds a root
+    ("spectrum", {"model": {"alpha": 0.8, "beta": 1e15, "f_bar": 0.1}}, []),
+    ("feasibility", {"model": {"alpha": 0.8, "beta": 1e15, "f_bar": 0.1}}, []),
     # 64 paths x 3 columns = 192 values, fewer than the bins
     ("density", {"density": {"t_window": [0.0, 0.01], "n_bins": 200}}, []),
 )

@@ -110,6 +110,14 @@ def test_contact_point_at_negative_weight(beta, omega):
     assert abs(g) <= 1e-12 * max(1.0, rep.W)
 
 
+def test_unconverged_contact_solve_is_inconclusive():
+    # hi is 1.4e49, too wide for 200 halvings to reach |g| <= 1e-12 or the
+    # width rule; the lane raises rather than return an unconverged W
+    p = ModelParams(alpha=1.0, beta=0.0, sigma=1.0, f_bar=0.1)
+    rep = classify_honeymoon(p, 1.0, 2.35e48)
+    assert (rep.W, rep.applicable, rep.status) == (None, False, "inconclusive")
+
+
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
 
 

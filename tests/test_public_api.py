@@ -1,5 +1,7 @@
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -17,3 +19,11 @@ def test_every_all_entry_resolves(module):
     # import or an explicit lookup would notice it.
     names = getattr(module, "__all__", [])
     assert [name for name in names if not hasattr(module, name)] == []
+
+
+def test_readme_quickstart_runs(capsys):
+    # the quickstart names public functions; a removed or renamed one fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Library quickstart\n+```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(block, "README.md quickstart", "exec"), {})
+    assert capsys.readouterr().out.strip()

@@ -14,6 +14,7 @@ import pytest
 
 from targetzone import (
     BracketError,
+    ConvergenceError,
     DomainError,
     ModelParams,
     build_spectrum,
@@ -186,3 +187,10 @@ def test_sign_test_survives_residuals_that_under_or_overflow():
     assert bisect_newton(tiny_lo, 0.0, 2.0) == pytest.approx(1.5, rel=0.0, abs=1e-12)
     huge = lambda x: (x - 1.5) * 1e300
     assert bisect_newton(huge, 0.0, 2.0) == 1.5
+
+
+def test_lane_still_open_after_the_bisection_budget_raises():
+    # 200 halvings of [0, 1e70] leave a bracket ~1e10 wide around the root 1,
+    # where neither |f| <= 1e-12 nor the 4-ulp width rule holds
+    with pytest.raises(ConvergenceError, match="1 of 1"):
+        bisect_newton(lambda x: x - 1.0, 0.0, 1e70)

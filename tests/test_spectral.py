@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from targetzone import (
     DomainError,
@@ -16,6 +17,7 @@ from targetzone import (
     soft_attractive_spectrum,
     spread_coefficient,
 )
+from targetzone.spectral import _C_MAX
 
 REF = ModelParams(alpha=0.8, beta=1.0, sigma=1.0, f_bar=0.1, horizon_T=3.0)
 
@@ -245,3 +247,45 @@ def test_residual_gate_random_draws():
         for omega in spec.eigenvalues:
             assert abs(eigen_residual(float(omega), p)) < 1e-10
         assert (spec.regime == "shifted") == (spread_coefficient(p) > 1.0)
+
+
+@pytest.mark.parametrize("f_bar", [1e-6, 0.1, 100.0])
+def test_spread_coefficient_past_every_bracket_refused(f_bar):
+    # below _C_MAX all 240 brackets hold their root; above it a valid
+    # ModelParams is refused, by the spectrum and by the risk sweep alike
+    below = ModelParams(alpha=0.8, beta=0.999 * _C_MAX / f_bar, f_bar=f_bar)
+    assert len(build_spectrum(below, 240)) == 240
+    above = ModelParams(alpha=0.8, beta=1.001 * _C_MAX / f_bar, f_bar=f_bar)
+    with pytest.raises(DomainError, match="spread coefficient"):
+        build_spectrum(above, 1)
+    with pytest.raises(DomainError, match="spread coefficient"):
+        regime_scan(above, [1.0, above.beta])
+
+
+def log_uniform(lo, hi):
+    return st.floats(min_value=math.log10(lo), max_value=math.log10(hi)).map(lambda e: 10.0**e)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    spread=st.one_of(st.just(0.0), log_uniform(1e-8, _C_MAX)),
+    sigma=log_uniform(1e-3, 1e2),
+    f_bar=log_uniform(1e-12, 1e3),
+    K=st.sampled_from([1, 50, 240]),
+)
+def test_spectrum_over_the_accepted_box(spread, sigma, f_bar, K):
+    # spread is beta f_bar; c = spread tanh(spread) runs from 0 up to _C_MAX.
+    # The residual floor is the one of a root rounded to the nearest double.
+    p = ModelParams(alpha=0.8, beta=spread / f_bar, sigma=sigma, f_bar=f_bar)
+    c = spread_coefficient(p)
+    assume(c <= _C_MAX)
+    spec = build_spectrum(p, K)
+    omega = spec.eigenvalues
+    lo, hi = np.array(spec.brackets).T
+    scale = sigma / (math.sqrt(2.0) * f_bar)  # as build_spectrum maps u to Omega
+    assert np.all((scale * lo <= omega) & (omega <= scale * hi))
+    assert np.all(np.diff(omega) > 0.0)
+    u = math.sqrt(2.0) * omega * f_bar / sigma
+    sn, cs = np.sin(u), np.cos(u)
+    floor = 8.0 * np.finfo(float).eps * u * np.abs(cs / sn - u / (sn * sn))
+    assert np.all(np.abs(u * cs / sn - c) <= 1e-12 + floor)

@@ -13,25 +13,12 @@ from targetzone import (
     eval_full,
     eval_stationary,
     eval_transient,
-    fourier_coeffs,
-    ou_stationary,
     regime_threshold,
-    solve_smooth_pasting,
     surface,
     uniform_grid,
 )
 
 REF = ModelParams(alpha=0.8, beta=1.0, sigma=1.0, f_bar=0.1, horizon_T=3.0)
-
-
-def truncate(ts, K):
-    """Partial-sum view of a transient solution (coefficients are nested)."""
-    spec = dataclasses.replace(
-        ts.spectrum,
-        eigenvalues=ts.spectrum.eigenvalues[:K],
-        brackets=ts.spectrum.brackets[:K],
-    )
-    return dataclasses.replace(ts, spectrum=spec, coeffs=ts.coeffs[:K])
 
 
 def fixed_node_sum(func, a, b, panels, nodes=20):
@@ -58,16 +45,15 @@ def test_modes_coincide_at_beta_zero():
     # cosh = 1 and every mode norm equals f_bar, so the projection reduces
     # to the plain sine transform -(1/f_bar) * integral of X_S sin(...)
     p = ModelParams(alpha=0.8, beta=0.0, sigma=1.0, f_bar=0.1, horizon_T=3.0)
-    spec = build_spectrum(p, 25)
-    sol = solve_smooth_pasting(p)
-    us = math.sqrt(2.0) * spec.eigenvalues * p.f_bar / p.sigma
+    ts = build_transient(p, 25)
+    us = math.sqrt(2.0) * ts.spectrum.eigenvalues * p.f_bar / p.sigma
     plain = -fixed_node_sum(
-        lambda f: np.sin(np.multiply.outer(us / p.f_bar, f)) * eval_stationary(sol, f),
+        lambda f: np.sin(np.multiply.outer(us / p.f_bar, f)) * eval_stationary(ts.stationary, f),
         -p.f_bar,
         p.f_bar,
         50,
     ) / p.f_bar
-    assert np.abs(plain - fourier_coeffs(sol, spec)).max() < 1e-12
+    assert np.abs(plain - ts.coeffs).max() < 1e-12
 
 
 @pytest.mark.parametrize("sigma", [0.1, 0.5, 1.0, 2.0])
@@ -75,12 +61,10 @@ def test_modes_coincide_at_beta_zero():
 def test_closed_form_coefficients_match_fixed_node_sum(sigma, share):
     base = ModelParams(alpha=0.8, sigma=sigma, f_bar=0.1, horizon_T=3.0)
     p = dataclasses.replace(base, beta=share * regime_threshold(base))
-    spec = build_spectrum(p, 200)
-    assert spec.regime == ("shifted" if share > 1.0 else "diffusive")
-    sol = solve_smooth_pasting(p)
-    got = fourier_coeffs(sol, spec)
-    ref = reference_coeffs(sol, spec, panels=400)
-    assert np.abs(got - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+    ts = build_transient(p, 200)
+    assert ts.spectrum.regime == ("shifted" if share > 1.0 else "diffusive")
+    ref = reference_coeffs(ts.stationary, ts.spectrum, panels=400)
+    assert np.abs(ts.coeffs - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
 
 
 def test_stiff_projection_matches_high_precision():
@@ -112,9 +96,20 @@ def test_stiff_projection_matches_high_precision():
             assert ts.coeffs[k - 1] == pytest.approx(ref, rel=1e-10)
 
 
-def test_projection_refuses_unsupported_solutions():
-    with pytest.raises(DomainError):
-        fourier_coeffs(ou_stationary(1.0, 0.02, REF), build_spectrum(REF, 5))
+@pytest.mark.parametrize("beta", [0.0, 1.0, 30.0])
+@pytest.mark.parametrize("sigma", [0.1, 1.0])
+def test_sliced_coefficients_are_the_shorter_build(beta, sigma):
+    # a transient sums over the first len(coeffs) roots, so slicing coeffs
+    # is the k-mode build bit for bit; beta 30 puts f_bar 0.1 past beta_e
+    p = ModelParams(alpha=0.8, beta=beta, sigma=sigma, f_bar=0.1, horizon_T=3.0)
+    full = build_transient(p, 200)
+    fg = uniform_grid(p, 101)
+    t_grid = np.linspace(0.0, p.horizon_T, 7)
+    for k in (1, 25, 200):
+        cut = dataclasses.replace(full, coeffs=full.coeffs[:k])
+        built = build_transient(p, k)
+        assert np.array_equal(cut.decay_rates(), built.decay_rates())
+        assert np.array_equal(surface(cut, t_grid, fg), surface(built, t_grid, fg))
 
 
 def test_coefficients_decay():
@@ -144,7 +139,7 @@ def test_terminal_error_decreases_with_truncation_doubling():
     ts = build_transient(REF, K=200)
     errors = []
     for K in (25, 50, 100, 200):
-        sub = truncate(ts, K)
+        sub = dataclasses.replace(ts, coeffs=ts.coeffs[:K])
         errors.append(np.abs(eval_full(sub, REF.horizon_T, fg)).max())
     assert all(b < a for a, b in zip(errors, errors[1:]))
 
@@ -251,9 +246,6 @@ def test_domain_checks():
         eval_transient(ts, 4.0, 0.0)
     with pytest.raises(DomainError):
         eval_transient(ts, 1.0, 0.2)
-    other = ModelParams(alpha=0.9, beta=1.0, sigma=1.0, f_bar=0.1)
-    with pytest.raises(DomainError):
-        fourier_coeffs(solve_smooth_pasting(REF), build_spectrum(other, 5))
 
 
 def test_band_rule_shared_by_both_halves():
