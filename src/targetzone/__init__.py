@@ -22,6 +22,7 @@ from .mc import (
     SimConfig,
     classify_shape,
     estimate_density,
+    exchange_density,
     exchange_paths,
     simulate,
 )
@@ -87,6 +88,7 @@ __all__ = [
     "eval_stationary",
     "eval_stationary_derivatives",
     "eval_transient",
+    "exchange_density",
     "exchange_paths",
     "kummer_1f1",
     "ou_asymptotic_spectrum",

@@ -31,7 +31,7 @@ from .mc import (
     SimConfig,
     classify_shape,
     estimate_density,
-    exchange_paths,
+    exchange_density,
     simulate,
 )
 from .params import ModelParams, uniform_grid
@@ -311,11 +311,10 @@ def cmd_density(scn: dict, params: ModelParams, threads: int, seed: int | None):
     # only the window's columns are histogrammed, so only they are mapped
     ens = dataclasses.replace(ens, times=ens.times[j0:j1], fundamentals=ens.fundamentals[:, j0:j1])
     if target == "exchange":
-        mat = exchange_paths(ens, build_transient(params, K=K))
+        dens = exchange_density(ens, build_transient(params, K=K), n_bins, value_range)
     else:
-        mat = ens.fundamentals
-    # mat is a transposed time-major array: order="K" ravels without a copy
-    dens = estimate_density(mat.ravel(order="K"), n_bins, value_range)
+        # a transposed time-major array: order="K" ravels without a copy
+        dens = estimate_density(ens.fundamentals.ravel(order="K"), n_bins, value_range)
     shape = classify_shape(dens)
     edges = dens.bin_edges
     doc = {

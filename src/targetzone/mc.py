@@ -29,6 +29,15 @@ path-major, so path i's noise depends only on (seed, i): not on n_paths,
 not on the thread count.  Ensembles are bit-reproducible, but a seeded
 ensemble differs from the one versions with a stream per path drew at
 the same seed.
+
+:func:`exchange_density` histograms X(t, f_t) without building X.  Where
+the transient is below 1e-16 (every column but the last few dozen before
+the horizon), X = X_S(f) and X_S is strictly increasing, so a value's bin
+is a step function of f: a lookup table over 2^14 uniform f-cells bins
+those columns, and X_S is evaluated only in cells the table cannot
+decide, at clamped values once each, and on the late columns.  The
+result equals :func:`estimate_density` of :func:`exchange_paths` bit for
+bit.
 """
 
 from __future__ import annotations
@@ -44,7 +53,7 @@ import numpy as np
 
 from .errors import DomainError
 from .params import ModelParams, RngStream
-from .stationary import eval_stationary
+from .stationary import _eval_error_bound, eval_stationary
 from .transient import TransientSolution, eval_transient
 
 __all__ = [
@@ -53,6 +62,7 @@ __all__ = [
     "DensityEstimate",
     "simulate",
     "exchange_paths",
+    "exchange_density",
     "estimate_density",
     "classify_shape",
 ]
@@ -66,6 +76,8 @@ MIN_BINS = 10
 # values per eval_stationary call in exchange_paths: large enough to hide
 # the per-call overhead, small enough for its temporaries to stay in cache
 _XS_SLAB = 1 << 15
+# uniform f-cells of exchange_density's bin lookup table
+_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -151,11 +163,14 @@ def _reflect_into(values: np.ndarray, radius: float) -> np.ndarray:
 
     With m = floor((x + r) / 2r), x - 2rm lies in [-r, r); an odd m means
     an odd number of mirrors, so the sign flips.  One fold (m = +-1)
-    gives +-2r - x, the single mirror, rounded the same way.
+    gives +-2r - x, the single mirror, rounded the same way.  The parity
+    test m != 2 floor(m / 2) is exact for every finite m (halving, floor
+    and doubling do not round); it calls m = +-inf, where the state has
+    already overflowed, even.
     """
     m = np.floor((values + radius) / (2.0 * radius))
     shift = 2.0 * radius * m
-    return np.where(np.mod(m, 2.0) != 0.0, shift - values, values - shift)
+    return np.where(m != 2.0 * np.floor(0.5 * m), shift - values, values - shift)
 
 
 def simulate(config: SimConfig, *, threads: int = 1) -> PathEnsemble:
@@ -227,15 +242,30 @@ def simulate(config: SimConfig, *, threads: int = 1) -> PathEnsemble:
     )
 
 
+def _kept_modes(transient: TransientSolution, times: np.ndarray) -> np.ndarray:
+    """Modes each time slice evaluates (``times`` at most the horizon).
+
+    Mode k is bounded by a_k = |c_k| exp(-(Omega_k^2 + rho)(T - t)), since
+    |sin| / cosh(beta f) <= 1; a slice keeps the shortest prefix of modes
+    whose dropped bounds sum to at most 1e-16.
+    """
+    p = transient.spectrum.params
+    bounds = np.abs(transient.coeffs) * np.exp(
+        -np.multiply.outer(p.horizon_T - times, transient.decay_rates())
+    )
+    # dropped[j, k]: bound of what modes k.. add to slice j
+    dropped = np.cumsum(bounds[:, ::-1], axis=1)[:, ::-1]
+    return np.count_nonzero(dropped > 1e-16, axis=1)
+
+
 def exchange_paths(ensemble: PathEnsemble, transient: TransientSolution) -> np.ndarray:
     """Exchange-rate paths X(t, f_t) = X*(T - t, f_t) + X_S(f_t).
 
-    Mode k of the transient is bounded by a_k = |c_k| exp(-(Omega_k^2 +
-    rho)(T - t)), since |sin| / cosh(beta f) <= 1.  Each time slice keeps
-    the shortest prefix of modes whose dropped bounds sum to at most
-    1e-16, and evaluates only those; for fast expectation updating that
-    prefix is empty, and the transient skipped, on every slice except the
-    last few before the horizon.
+    Each time slice evaluates only the shortest prefix of modes whose
+    dropped bounds |c_k| exp(-(Omega_k^2 + rho)(T - t)) sum to at most
+    1e-16; for fast expectation updating that prefix is empty, and the
+    transient skipped, on every slice except the last few before the
+    horizon.
     """
     p = transient.spectrum.params
     if ensemble.config.params != p:
@@ -247,16 +277,105 @@ def exchange_paths(ensemble: PathEnsemble, transient: TransientSolution) -> np.n
     for j in range(0, len(rows), slab):
         out[j : j + slab] = eval_stationary(transient.stationary, rows[j : j + slab])
     times = np.minimum(ensemble.times, p.horizon_T)
-    bounds = np.abs(transient.coeffs) * np.exp(
-        -np.multiply.outer(p.horizon_T - times, transient.decay_rates())
-    )
-    # dropped[j, k]: bound of what modes k.. add to slice j
-    dropped = np.cumsum(bounds[:, ::-1], axis=1)[:, ::-1]
-    kept = np.count_nonzero(dropped > 1e-16, axis=1)
+    kept = _kept_modes(transient, times)
     for j in np.flatnonzero(kept):
         view = replace(transient, coeffs=transient.coeffs[: kept[j]])
         out[j] += eval_transient(view, float(times[j]), rows[j])
     return out.T
+
+
+def exchange_density(
+    ensemble: PathEnsemble,
+    transient: TransientSolution,
+    n_bins: int = 61,
+    value_range: tuple[float, float] | None = None,
+) -> DensityEstimate:
+    """``estimate_density`` of ``exchange_paths``, bit for bit, without building X.
+
+    Columns up to the first that keeps a transient mode are stationary: X
+    is X_S(f) there.  With w twice the bound on X_S's evaluation error, a
+    value in f-cell c has X within [X_S(b_{c-1}) - w, X_S(b_{c+2}) + w]
+    (cell boundaries b; one cell of padding absorbs the rounding of the
+    cell index), so a cell whose interval lies inside one bin maps to that
+    bin without evaluating X.  Values in the other cells are mapped with
+    ``eval_stationary``, those clamped onto min or max f once each, and the
+    late columns through ``exchange_paths``.  An ``"observed"`` range comes
+    from the distinct values within two cells of min or max f and the late
+    columns.  When the table cannot decide -- X_S not strictly increasing
+    on the cell boundaries, or cells narrower than a few ulps -- the result
+    is computed the direct way.  Work goes in slabs of whole time rows; no
+    temporary is as large as the ensemble.
+    """
+    value_range = _checked_bins(n_bins, value_range)
+    p, sol = transient.spectrum.params, transient.stationary
+    late = np.flatnonzero(_kept_modes(transient, np.minimum(ensemble.times, p.horizon_T)))
+    first = late[0] if late.size else len(ensemble.times)
+    x_late = exchange_paths(
+        replace(ensemble, times=ensemble.times[first:], fundamentals=ensemble.fundamentals[:, first:]),
+        transient,
+    ).ravel(order="K")
+    rows = ensemble.fundamentals.T[:first]
+    if rows.size == 0:
+        return estimate_density(x_late, n_bins, value_range)
+    step = max(1, _XS_SLAB // rows.shape[1])
+    slabs = [rows[j : j + step] for j in range(0, len(rows), step)]
+
+    ends = np.array([(s.min(), s.max()) for s in slabs])
+    fmin, fmax = float(ends[:, 0].min()), float(ends[:, 1].max())
+    if not (math.isfinite(fmin) and math.isfinite(fmax) and np.isfinite(x_late).all()):
+        raise DomainError("density values must be finite")
+    cells = np.linspace(fmin, fmax, _CELLS + 1)
+    xb = eval_stationary(sol, cells)
+    w = 2.0 * _eval_error_bound(sol)
+    h = (fmax - fmin) / _CELLS
+    if not (
+        h > max(8.0 * np.finfo(float).eps * max(abs(fmin), abs(fmax)), np.finfo(float).tiny)
+        and np.all(np.diff(xb) > 0.0)
+        and xb[2] - xb[0] > w
+        and xb[-1] - xb[-3] > w
+    ):
+        return estimate_density(exchange_paths(ensemble, transient).ravel(order="K"), n_bins, value_range)
+
+    if value_range is None:
+        # a value beyond two cells of min f maps above X_S(b_2) - w > X_S(min f)
+        near = np.concatenate([np.unique(s[(s <= cells[2]) | (s >= cells[-3])]) for s in slabs])
+        edges = np.histogram_bin_edges(
+            np.concatenate((eval_stationary(sol, np.unique(near)), x_late)), n_bins
+        )
+    else:
+        edges = np.histogram_bin_edges(xb, n_bins, value_range)
+    # table[c]: the bin of every value in cell c, n_bins when all fall
+    # outside the range, n_bins + 1 when the cell needs exact values; max f
+    # may index one past the last cell, which entry _CELLS repeats
+    c = np.minimum(np.arange(_CELLS + 1), _CELLS - 1)
+    lo_x = xb[np.maximum(c - 1, 0)] - w
+    hi_x = xb[np.minimum(c + 2, _CELLS)] + w
+    lo_i = np.searchsorted(edges, lo_x, side="right")
+    table = lo_i - 1
+    table[lo_i == 0] = n_bins
+    table[(np.searchsorted(edges, hi_x, side="right") != lo_i) | (lo_x == edges[-1])] = n_bins + 1
+
+    counts = np.zeros(n_bins + 2, dtype=np.intp)
+    exact, n_lo, n_hi = [x_late], 0, 0
+    scale = 1.0 / h
+    for s in slabs:
+        t = s - fmin
+        t *= scale
+        slot = table[t.astype(np.intp)]
+        counts += np.bincount(slot.ravel(), minlength=n_bins + 2)
+        f = s[slot == n_bins + 1]
+        at_lo, at_hi = f == fmin, f == fmax
+        n_lo += np.count_nonzero(at_lo)
+        n_hi += np.count_nonzero(at_hi)
+        exact.append(eval_stationary(sol, f[~(at_lo | at_hi)]))
+    hist = functools.partial(np.histogram, bins=n_bins, range=(edges[0], edges[-1]))
+    counts = (
+        counts[:n_bins]
+        + hist(np.concatenate(exact))[0]
+        + n_lo * hist(xb[:1])[0]
+        + n_hi * hist(xb[-1:])[0]
+    )
+    return _density(counts, edges)
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,6 +396,32 @@ class DensityEstimate:
         return mass / mass.sum()
 
 
+def _checked_bins(n_bins: int, value_range) -> tuple[float, float] | None:
+    """Refuse fewer than MIN_BINS bins and any range but finite lo < hi."""
+    if n_bins < MIN_BINS:
+        raise DomainError(f"n_bins must be >= {MIN_BINS}")
+    if value_range is None:
+        return None
+    try:
+        lo, hi = (float(v) for v in value_range)
+    except (TypeError, ValueError):
+        lo = hi = math.nan
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise DomainError("value_range must be two finite numbers lo < hi")
+    return lo, hi
+
+
+def _density(counts: np.ndarray, edges: np.ndarray) -> DensityEstimate:
+    """Normalize bin counts so the trapezoid rule over bin centers gives one."""
+    if counts.sum() == 0:
+        raise DomainError("no values fall inside value_range")
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    widths = np.diff(edges)
+    density = counts / (counts.sum() * widths)
+    density = density / np.trapezoid(density, centers)
+    return DensityEstimate(bin_edges=edges, density=density)
+
+
 def estimate_density(
     values, n_bins: int = 61, value_range: tuple[float, float] | None = None
 ) -> DensityEstimate:
@@ -285,21 +430,18 @@ def estimate_density(
     Bins span the observed range unless ``value_range`` pins them (the
     band, say, so that densities of different scenarios share an axis).
     The result is normalized so the trapezoid rule over bin centers
-    integrates to one.
+    integrates to one.  Raises :class:`DomainError` unless every value is
+    finite and ``value_range`` is None or two finite numbers lo < hi.
     """
     arr = np.asarray(values, dtype=float).ravel()
     if arr.size == 0:
         raise DomainError("estimate_density needs at least one value")
-    if n_bins < MIN_BINS:
-        raise DomainError(f"n_bins must be >= {MIN_BINS}")
+    value_range = _checked_bins(n_bins, value_range)
+    # min and max propagate NaN, and allocate nothing
+    if not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
+        raise DomainError("density values must be finite")
     counts, edges = np.histogram(arr, bins=n_bins, range=value_range)
-    if counts.sum() == 0:
-        raise DomainError("no values fall inside value_range")
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    widths = np.diff(edges)
-    density = counts / (counts.sum() * widths)
-    density = density / np.trapezoid(density, centers)
-    return DensityEstimate(bin_edges=edges, density=density)
+    return _density(counts, edges)
 
 
 def _local_maxima(d: np.ndarray) -> np.ndarray:

@@ -274,6 +274,25 @@ def eval_stationary(sol: _Stationary, f):
     return float(out) if np.ndim(f) == 0 else out
 
 
+def _eval_error_bound(sol: StationarySolution) -> float:
+    """Bound on |eval_stationary(sol, f) - X_S(f)| over the band.
+
+    X_S here is the closed form evaluated exactly at the floating-point f,
+    with r, D and a_anchor as stored.  Each anchored term is at most 2|a|
+    on the band and the particular part at most |2 alpha / D^2| (f_bar |D|
+    + 2 |beta| sigma^2); each is a handful of roundings, and exp and tanh
+    amplify their arguments' rounding by at most (r + |beta|) f_bar.  The
+    factor 64 eps covers those roundings and the libm error many times.
+    """
+    p = sol.params
+    d = _forcing_scale(p)
+    size = 4.0 * abs(sol.a_anchor) + abs(2.0 * p.alpha / d**2) * (
+        p.f_bar * abs(d) + 2.0 * abs(p.beta) * p.sigma**2
+    )
+    growth = 1.0 + (_growth_rate(p) + abs(p.beta)) * p.f_bar
+    return 64.0 * np.finfo(float).eps * growth * size
+
+
 def eval_stationary_derivatives(sol: _Stationary, f):
     """(X_S, X_S', X_S'') from the analytic closed forms.
 

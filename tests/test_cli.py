@@ -6,7 +6,14 @@ from pathlib import Path
 import pytest
 
 import targetzone.cli
-from targetzone import ValidationError, build_transient, estimate_density, exchange_paths, simulate
+from targetzone import (
+    ValidationError,
+    build_transient,
+    estimate_density,
+    exchange_density,
+    exchange_paths,
+    simulate,
+)
 from targetzone.cli import load_scenario, main, run_command
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "targetzone" / "scenarios"
@@ -185,12 +192,12 @@ def test_density_maps_only_the_window(tmp_path, monkeypatch):
         seen["ens"] = simulate(cfg, threads=threads)
         return seen["ens"]
 
-    def mapped(ens, ts):
+    def binned(ens, ts, n_bins, value_range):
         seen["columns"] = ens.fundamentals.shape[1]
-        return exchange_paths(ens, ts)
+        return exchange_density(ens, ts, n_bins, value_range)
 
     monkeypatch.setattr(targetzone.cli, "simulate", simulated)
-    monkeypatch.setattr(targetzone.cli, "exchange_paths", mapped)
+    monkeypatch.setattr(targetzone.cli, "exchange_density", binned)
     doc = json.loads(run_command("density", scn, tmp_path / "d.json").read_text())
     ens = seen["ens"]
     n = len(ens.times) - 1

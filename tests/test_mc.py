@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import targetzone.mc
 
@@ -17,6 +18,7 @@ from targetzone import (
     estimate_density,
     eval_stationary,
     eval_transient,
+    exchange_density,
     exchange_paths,
     regime_threshold,
     simulate,
@@ -175,6 +177,30 @@ def test_reflection_fold_matches_iterative_mirror():
     out = _reflect_into(x, r)
     assert np.abs(out - _mirror(x, r)).max() <= 1e-15
     assert np.abs(out).max() <= r + 1e-15
+
+
+def _reflect_mod(values, radius):
+    """The fold with its parity taken by np.mod, the form _reflect_into replaced."""
+    m = np.floor((values + radius) / (2.0 * radius))
+    shift = 2.0 * radius * m
+    return np.where(np.mod(m, 2.0) != 0.0, shift - values, values - shift)
+
+
+def test_fold_parity_matches_mod_form_bitwise():
+    rng = np.random.default_rng(13)
+    k = np.arange(200.0)
+    for r in (0.02, 0.09, 0.1, 0.3):
+        odd = (2.0 * k + 1.0) * r
+        x = np.concatenate([
+            [r, -r, 3.0 * r, -3.0 * r, 0.0, -0.0],
+            odd, -odd, np.nextafter(odd, 0.0), np.nextafter(-odd, 0.0),
+            # folded up to a million times
+            rng.uniform(-2e6, 2e6, 20_000) * r,
+        ])
+        assert _reflect_into(x, r).tobytes() == _reflect_mod(x, r).tobytes()
+    # the parity forms themselves, on finite integers up to 2^60 and both zeros
+    m = np.concatenate([np.arange(-1e6, 1e6 + 1.0), [2.0**53 + 2.0, -(2.0**60), 0.0, -0.0]])
+    assert np.array_equal(m != 2.0 * np.floor(0.5 * m), np.mod(m, 2.0) != 0.0)
 
 
 def test_bernoulli_signs_recorded_once_per_path():
@@ -358,6 +384,160 @@ def test_exchange_paths_requires_shared_params():
         exchange_paths(ens, build_transient(other, K=5))
 
 
+# ----------------------------------------------------- exchange density
+
+
+def density_ensemble(beta=5.0, intervention="pure_reflection", drift_mode="tanh",
+                     kappa=1.0, window=(0.0, 1.0), n_paths=300, seed=36):
+    """Small ensemble over the columns of ``window`` and its transient."""
+    p = ModelParams(alpha=200.0, beta=beta, sigma=0.1, f_bar=0.1, horizon_T=1.0)
+    ens = simulate(SimConfig(params=p, n_paths=n_paths, drift_mode=drift_mode,
+                             intervention=intervention, seed=seed, kappa=kappa))
+    n = len(ens.times) - 1
+    j0, j1 = int(window[0] * n), int(window[1] * n) + 1
+    ens = dataclasses.replace(ens, times=ens.times[j0:j1], fundamentals=ens.fundamentals[:, j0:j1])
+    return ens, build_transient(p, K=30)
+
+
+def assert_density_matches_direct(monkeypatch, ens, ts, n_bins, value_range):
+    """exchange_density against estimate_density(exchange_paths) to the bit.
+
+    Returns the largest number of columns handed to exchange_paths.
+    """
+    mapped = [0]
+
+    def spy(e, t):
+        mapped[0] = max(mapped[0], e.fundamentals.shape[1])
+        return exchange_paths(e, t)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(targetzone.mc, "exchange_paths", spy)
+        got = exchange_density(ens, ts, n_bins, value_range)
+    ref = estimate_density(exchange_paths(ens, ts).ravel(order="K"), n_bins, value_range)
+    assert got.bin_edges.tobytes() == ref.bin_edges.tobytes()
+    assert got.density.tobytes() == ref.density.tobytes()
+    return mapped[0]
+
+
+BETA_SHIFTED = 2.0 * regime_threshold(ModelParams(alpha=200.0, beta=0.0, sigma=0.1, f_bar=0.1))
+
+
+@pytest.mark.parametrize("band", [True, False], ids=["band", "observed"])
+@pytest.mark.parametrize("case", [
+    dict(beta=0.0, intervention="law", drift_mode="tanh"),
+    dict(beta=0.0, intervention="pure_reflection", drift_mode="bernoulli", kappa=0.9),
+    dict(beta=BETA_SHIFTED, intervention="law", drift_mode="bernoulli", kappa=0.5),
+    dict(beta=BETA_SHIFTED, intervention="pure_reflection", drift_mode="tanh"),
+    dict(beta=5.0, window=(0.2, 0.9)),
+    dict(beta=5.0, window=(0.98, 1.0)),
+], ids=["law-beta0", "reflect-bernoulli-beta0", "law-shifted", "reflect-shifted",
+        "no-late-columns", "late-columns-only"])
+def test_exchange_density_matches_direct_route(monkeypatch, case, band):
+    ens, ts = density_ensemble(**case)
+    f_bar = ts.spectrum.params.f_bar
+    columns = ens.fundamentals.shape[1]
+    mapped = assert_density_matches_direct(monkeypatch, ens, ts, 21, (-f_bar, f_bar) if band else None)
+    if case.get("window") == (0.98, 1.0):
+        assert mapped == columns
+    else:
+        # the stationary columns went through the table, not exchange_paths
+        assert mapped < columns // 2
+
+
+def test_exchange_density_range_cuts_through_the_values(monkeypatch):
+    ens, ts = density_ensemble(beta=5.0)
+    x = exchange_paths(ens, ts)
+    lo, hi = np.quantile(x, [0.2, 0.7])
+    assert assert_density_matches_direct(monkeypatch, ens, ts, 30, (lo, hi)) < x.shape[1] // 2
+
+
+def test_exchange_density_pinned_at_parity(monkeypatch):
+    # every X is 0: numpy widens the zero-width observed range to [-0.5, 0.5]
+    ens, ts = density_ensemble(n_paths=20)
+    pinned = dataclasses.replace(ens, fundamentals=np.zeros_like(ens.fundamentals))
+    assert_density_matches_direct(monkeypatch, pinned, ts, 11, None)
+    assert exchange_density(pinned, ts, 11).bin_edges[[0, -1]].tolist() == [-0.5, 0.5]
+
+
+@pytest.mark.parametrize("band", [True, False], ids=["band", "observed"])
+def test_exchange_density_exact_for_any_error_within_the_bound(monkeypatch, band):
+    # X_S evaluated with an error of up to a third of a cell's X-width, and
+    # a bound that says so: the table must still bin every value, and find
+    # the observed extremes, exactly as the direct route does
+    ens, ts = density_ensemble(beta=5.0)
+    lo, hi = -0.09, 0.09
+    rows = np.random.default_rng(38).uniform(lo, hi, ens.fundamentals.T.shape)
+    rows[:3, :50] = lo  # clamped onto min and max f
+    rows[:3, 50:100] = hi
+    rows[:2, 100:110] = lo + np.arange(1, 11) * 1e-9  # within a hair of them
+    rows[:2, 110:120] = hi - np.arange(1, 11) * 1e-9
+    ens = dataclasses.replace(ens, fundamentals=rows.T)
+    cells = np.linspace(lo, hi, targetzone.mc._CELLS + 1)
+    err = np.diff(eval_stationary(ts.stationary, cells)).min() / 3.0
+
+    def off(sol, f):
+        f = np.asarray(f, dtype=float)
+        return eval_stationary(sol, f) - err * np.abs(np.sin(1e7 * f))
+
+    monkeypatch.setattr(targetzone.mc, "eval_stationary", off)
+    monkeypatch.setattr(targetzone.mc, "_eval_error_bound", lambda sol: err)
+    value_range = (-0.05, 0.05) if band else None
+    mapped = assert_density_matches_direct(monkeypatch, ens, ts, 21, value_range)
+    assert mapped < ens.fundamentals.shape[1] // 2
+
+
+def test_exchange_density_falls_back_where_x_is_not_monotone(monkeypatch):
+    ens, ts = density_ensemble(beta=5.0)
+    monkeypatch.setattr(targetzone.mc, "eval_stationary", lambda sol, f: eval_stationary(sol, f) ** 2)
+    mapped = assert_density_matches_direct(monkeypatch, ens, ts, 21, None)
+    assert mapped == ens.fundamentals.shape[1]
+
+
+def test_exchange_density_refusals():
+    ens, ts = density_ensemble(n_paths=20)
+    with pytest.raises(DomainError, match="no values"):
+        exchange_density(ens, ts, 11, (5.0, 6.0))
+    with pytest.raises(DomainError, match="value_range"):
+        exchange_density(ens, ts, 11, (0.5, 0.5))
+    with pytest.raises(DomainError, match="n_bins"):
+        exchange_density(ens, ts, 5)
+    nan = dataclasses.replace(ens, fundamentals=ens.fundamentals.copy())
+    nan.fundamentals[3, 4] = math.nan
+    with pytest.raises(DomainError, match="finite"):
+        exchange_density(nan, ts, 11)
+    other = ModelParams(alpha=150.0, beta=5.0, sigma=0.1, f_bar=0.1, horizon_T=1.0)
+    with pytest.raises(DomainError, match="share params"):
+        exchange_density(ens, build_transient(other, K=5), 11)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    alpha=st.floats(20.0, 400.0),
+    beta=st.floats(0.0, 60.0),
+    sigma=st.floats(0.05, 1.0),
+    f_bar=st.floats(0.02, 0.5),
+    kappa=st.floats(0.1, 1.0),
+    intervention=st.sampled_from(["law", "pure_reflection"]),
+    drift_mode=st.sampled_from(["tanh", "bernoulli"]),
+    start=st.floats(0.0, 0.95),
+    band=st.booleans(),
+)
+def test_exchange_density_matches_direct_route_over_the_box(
+    alpha, beta, sigma, f_bar, kappa, intervention, drift_mode, start, band
+):
+    p = ModelParams(alpha=alpha, beta=beta, sigma=sigma, f_bar=f_bar, horizon_T=60.0 / alpha)
+    ens = simulate(SimConfig(params=p, n_paths=200, drift_mode=drift_mode,
+                             intervention=intervention, seed=37, kappa=kappa))
+    j0 = int(start * (len(ens.times) - 1))
+    ens = dataclasses.replace(ens, times=ens.times[j0:], fundamentals=ens.fundamentals[:, j0:])
+    ts = build_transient(p, K=20)
+    value_range = (-f_bar, f_bar) if band else None
+    got = exchange_density(ens, ts, 15, value_range)
+    ref = estimate_density(exchange_paths(ens, ts).ravel(order="K"), 15, value_range)
+    assert got.bin_edges.tobytes() == ref.bin_edges.tobytes()
+    assert got.density.tobytes() == ref.density.tobytes()
+
+
 # ------------------------------------------------------ density machinery
 
 
@@ -394,6 +574,26 @@ def test_density_input_validation():
         estimate_density(np.array([1.0, 2.0]), 5)
     with pytest.raises(DomainError):
         estimate_density(np.array([5.0]), 20, value_range=(-1.0, 1.0))
+
+
+@pytest.mark.parametrize("value_range", [(0.1, -0.1), (0.0, math.inf), (0.5, 0.5),
+                                         (-math.nan, 1.0), (0.0, 1.0, 2.0), "ab"])
+def test_density_refuses_ranges_it_cannot_bin(value_range):
+    # numpy raised a bare ValueError on the first two and widened the third
+    with pytest.raises(DomainError, match="value_range"):
+        estimate_density(np.linspace(-0.5, 0.5, 100), 20, value_range)
+
+
+@pytest.mark.parametrize("value_range", [None, (-1.0, 1.0)])
+def test_density_refuses_non_finite_values(value_range):
+    # with a range numpy silently dropped the NaN; without one it raised ValueError
+    vals = np.linspace(-0.5, 0.5, 100)
+    vals[7] = math.nan
+    with pytest.raises(DomainError, match="finite"):
+        estimate_density(vals, 20, value_range)
+    vals[7] = math.inf
+    with pytest.raises(DomainError, match="finite"):
+        estimate_density(vals, 20, value_range)
 
 
 # ----------------------------------------------------------- classifier
