@@ -258,6 +258,13 @@ def _kept_modes(transient: TransientSolution, times: np.ndarray) -> np.ndarray:
     return np.count_nonzero(dropped > 1e-16, axis=1)
 
 
+def _shared_params(ensemble: PathEnsemble, transient: TransientSolution) -> ModelParams:
+    """The parameters both the ensemble and the transient were built with."""
+    if ensemble.config.params != transient.spectrum.params:
+        raise DomainError("ensemble and transient solution must share params")
+    return ensemble.config.params
+
+
 def exchange_paths(ensemble: PathEnsemble, transient: TransientSolution) -> np.ndarray:
     """Exchange-rate paths X(t, f_t) = X*(T - t, f_t) + X_S(f_t).
 
@@ -267,9 +274,7 @@ def exchange_paths(ensemble: PathEnsemble, transient: TransientSolution) -> np.n
     transient skipped, on every slice except the last few before the
     horizon.
     """
-    p = transient.spectrum.params
-    if ensemble.config.params != p:
-        raise DomainError("ensemble and transient solution must share params")
+    p = _shared_params(ensemble, transient)
     rows = ensemble.fundamentals.T
     out = np.empty_like(rows)
     # X_S is pointwise: evaluate it over slabs of whole time rows
@@ -307,22 +312,18 @@ def exchange_density(
     temporary is as large as the ensemble.
     """
     value_range = _checked_bins(n_bins, value_range)
-    p, sol = transient.spectrum.params, transient.stationary
+    p, sol = _shared_params(ensemble, transient), transient.stationary
     late = np.flatnonzero(_kept_modes(transient, np.minimum(ensemble.times, p.horizon_T)))
     first = late[0] if late.size else len(ensemble.times)
-    x_late = exchange_paths(
-        replace(ensemble, times=ensemble.times[first:], fundamentals=ensemble.fundamentals[:, first:]),
-        transient,
-    ).ravel(order="K")
     rows = ensemble.fundamentals.T[:first]
     if rows.size == 0:
-        return estimate_density(x_late, n_bins, value_range)
+        return estimate_density(exchange_paths(ensemble, transient).ravel(order="K"), n_bins, value_range)
     step = max(1, _XS_SLAB // rows.shape[1])
     slabs = [rows[j : j + step] for j in range(0, len(rows), step)]
 
     ends = np.array([(s.min(), s.max()) for s in slabs])
     fmin, fmax = float(ends[:, 0].min()), float(ends[:, 1].max())
-    if not (math.isfinite(fmin) and math.isfinite(fmax) and np.isfinite(x_late).all()):
+    if not (math.isfinite(fmin) and math.isfinite(fmax)):
         raise DomainError("density values must be finite")
     cells = np.linspace(fmin, fmax, _CELLS + 1)
     xb = eval_stationary(sol, cells)
@@ -335,6 +336,12 @@ def exchange_density(
         and xb[-1] - xb[-3] > w
     ):
         return estimate_density(exchange_paths(ensemble, transient).ravel(order="K"), n_bins, value_range)
+    x_late = exchange_paths(
+        replace(ensemble, times=ensemble.times[first:], fundamentals=ensemble.fundamentals[:, first:]),
+        transient,
+    ).ravel(order="K")
+    if not np.isfinite(x_late).all():
+        raise DomainError("density values must be finite")
 
     if value_range is None:
         # a value beyond two cells of min f maps above X_S(b_2) - w > X_S(min f)

@@ -4,6 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from targetzone import (
     DomainError,
@@ -17,6 +18,7 @@ from targetzone import (
     stationary_ode_residual,
     uniform_grid,
 )
+from targetzone.stationary import _eval_error_bound, _forcing_scale, _growth_rate
 
 FIG_PARAMS = {b: ModelParams(alpha=0.8, beta=b, sigma=1.0, f_bar=0.1, horizon_T=3.0) for b in (0.0, 1.0, 5.0)}
 
@@ -99,6 +101,56 @@ def test_constants_antisymmetric_on_symmetric_band():
         assert eval_stationary(sol, 0.0) == 0.0, p
         f = np.linspace(-p.f_bar, p.f_bar, 41)
         assert np.abs(eval_stationary(sol, f) - reference_stationary(p, f)).max() <= 1e-15, p
+
+
+def closed_form_at_stored_constants(sol, f):
+    """X_S at each float f in 40-digit mpmath, from r, D and a_anchor as stored.
+
+    This is the quantity _eval_error_bound bounds the distance to: only the
+    evaluation's rounding separates it from eval_stationary.
+    """
+    p = sol.params
+    with mpmath.workdps(40):
+        a, r, d = (mpmath.mpf(v) for v in (sol.a_anchor, _growth_rate(p), _forcing_scale(p)))
+        alpha, beta, sigma, fb = (mpmath.mpf(v) for v in (p.alpha, p.beta, p.sigma, p.f_bar))
+        out = []
+        for v in map(mpmath.mpf, np.asarray(f, dtype=float).tolist()):
+            homog = a * (mpmath.exp(r * (v - fb)) - mpmath.exp(-r * (v + fb))) / mpmath.cosh(beta * v)
+            out.append(homog + 2 * alpha / d**2 * (v * d + 2 * beta * sigma**2 * mpmath.tanh(beta * v)))
+        return out
+
+
+def assert_eval_error_within_bound(p):
+    sol = solve_smooth_pasting(p)
+    rng = np.random.default_rng(39)
+    f = np.concatenate((np.linspace(-p.f_bar, p.f_bar, 33), rng.uniform(-p.f_bar, p.f_bar, 32)))
+    ref = closed_form_at_stored_constants(sol, f)
+    err = max(abs(mpmath.mpf(x) - y) for x, y in zip(eval_stationary(sol, f).tolist(), ref))
+    # the measured error sits two orders of magnitude inside the bound
+    assert float(err) <= _eval_error_bound(sol), p
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    alpha=st.floats(20.0, 400.0),
+    beta=st.floats(0.0, 60.0),
+    sigma=st.floats(0.05, 1.0),
+    f_bar=st.floats(0.02, 0.5),
+)
+def test_eval_error_within_its_bound_over_the_box(alpha, beta, sigma, f_bar):
+    assert_eval_error_within_bound(ModelParams(alpha=alpha, beta=beta, sigma=sigma, f_bar=f_bar))
+
+
+@pytest.mark.parametrize("p", [
+    ModelParams(alpha=0.8, beta=1400.0, sigma=1.0, f_bar=0.5),  # beta f_bar 700, the largest solved
+    ModelParams(alpha=200.0, beta=400.0, sigma=0.1, f_bar=0.5),
+    ModelParams(alpha=20.0, beta=60.0, sigma=2.0, f_bar=0.5),  # sigma > 1: D < 0
+    ModelParams(alpha=20.0, beta=3.65, sigma=2.0, f_bar=0.5),  # D = 0.0325, near resonance
+    *FIG_PARAMS.values(),
+    *NARROW_BANDS,
+], ids=lambda p: f"a{p.alpha:g}-b{p.beta:g}-s{p.sigma:g}-f{p.f_bar:g}")
+def test_eval_error_within_its_bound_at_the_corners(p):
+    assert_eval_error_within_bound(p)
 
 
 def test_solution_is_odd():

@@ -2,14 +2,14 @@
 
     python tools/output_digests.py                     # this checkout
     python tools/output_digests.py --root ../other     # another checkout
-    python tools/output_digests.py --seeds default 1 7
 
-Each shipped figure scenario runs ``density`` once per seed (``default`` is
-the scenario's own seed, the others go through ``--seed``); every other
-shipped scenario runs its own subcommand, and ``spectrum_narrow`` also runs
-``feasibility`` and ``honeymoon``.  Every run is made in both ``--format``s.
-The output is one ``name sha256`` line per output file, so two checkouts
-produce byte-identical outputs exactly when
+Each shipped figure scenario runs ``density`` once per seed in ``SEEDS``
+(``default`` is the scenario's own seed, the others go through
+``--seed``); every other shipped scenario runs its own subcommand, and
+``spectrum_narrow`` also runs ``feasibility`` and ``honeymoon``.  Every
+run is made in both ``--format``s.  The output is one ``name sha256``
+line per output file, so two checkouts produce byte-identical outputs
+exactly when
 
     diff <(python tools/output_digests.py --root A) \\
          <(python tools/output_digests.py --root B)
@@ -40,9 +40,10 @@ COMMANDS = {
 }
 FIGURE_PREFIXES = ("fig6", "fig7", "fig8")
 FORMATS = ("csv", "json")
+SEEDS = ("default", "1", "2", "3")
 
 
-def runs(scenarios: Path, seeds: list[str]) -> list[tuple[str, list[str]]]:
+def runs(scenarios: Path) -> list[tuple[str, list[str]]]:
     """(output name, CLI argv without --out) for every run, in a fixed order."""
     shipped = sorted(p.stem for p in scenarios.glob("*.json"))
     figures = [s for s in shipped if s.startswith(FIGURE_PREFIXES)]
@@ -57,7 +58,7 @@ def runs(scenarios: Path, seeds: list[str]) -> list[tuple[str, list[str]]]:
                 argv = [command, "--config", str(scenarios / f"{name}.json"), "--format", fmt]
                 out.append((f"{command}:{name}:{fmt}", argv))
         for name in figures:
-            for seed in seeds:
+            for seed in SEEDS:
                 argv = ["density", "--config", str(scenarios / f"{name}.json"), "--format", fmt]
                 if seed != "default":
                     argv += ["--seed", seed]
@@ -69,8 +70,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
                         help="source checkout whose src/ is imported (default: this one)")
-    parser.add_argument("--seeds", nargs="+", default=["default", "1", "2", "3"],
-                        help="density seeds: 'default' or integers (default: default 1 2 3)")
     args = parser.parse_args(argv)
     src = (args.root / "src").resolve()
     sys.path.insert(0, str(src))
@@ -80,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
         raise SystemExit(f"targetzone was imported from {cli.__file__}, not from {src}")
     with tempfile.TemporaryDirectory() as tmp:
         out_path = Path(tmp) / "out"
-        for name, run_argv in runs(src / "targetzone" / "scenarios", args.seeds):
+        for name, run_argv in runs(src / "targetzone" / "scenarios"):
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli.main([*run_argv, "--out", str(out_path)])
             if code != 0:
