@@ -24,16 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
+# the analytic core most commands use is bound here; mc and honeymoon are
+# imported inside the commands that use them, so other runs never load them
 from .errors import NumericalError, ValidationError
-from .honeymoon import classify_honeymoon
-from .mc import (
-    MIN_BINS,
-    SimConfig,
-    classify_shape,
-    estimate_density,
-    exchange_density,
-    simulate,
-)
 from .params import ModelParams, uniform_grid
 from .spectral import (
     build_spectrum,
@@ -148,8 +141,10 @@ def _model(scn: dict) -> ModelParams:
     )
 
 
-def _sim_config(scn: dict, params: ModelParams, seed_override: int | None) -> SimConfig:
+def _sim_config(scn: dict, params: ModelParams, seed_override: int | None):
     """``sim`` section over the ``SimConfig`` defaults; counts range-checked here."""
+    from .mc import SimConfig
+
     s = scn.get("sim", {})
     seed = _num(scn, "sim.seed", SimConfig.seed, int) if seed_override is None else seed_override
     return SimConfig(
@@ -274,6 +269,8 @@ def cmd_regime_scan(scn: dict, params: ModelParams, threads: int, seed: int | No
 
 
 def cmd_simulate(scn: dict, params: ModelParams, threads: int, seed: int | None):
+    from .mc import simulate
+
     cfg = _sim_config(scn, params, seed)
     ens = simulate(cfg, threads=threads)
     rows = [
@@ -285,6 +282,8 @@ def cmd_simulate(scn: dict, params: ModelParams, threads: int, seed: int | None)
 
 
 def cmd_density(scn: dict, params: ModelParams, threads: int, seed: int | None):
+    from .mc import MIN_BINS, classify_shape, estimate_density, exchange_density, simulate
+
     cfg = _sim_config(scn, params, seed)
     dct = scn.get("density", {})
     target = str(dct.get("target", "exchange"))
@@ -328,6 +327,8 @@ def cmd_density(scn: dict, params: ModelParams, threads: int, seed: int | None):
 
 
 def cmd_honeymoon(scn: dict, params: ModelParams, threads: int, seed: int | None):
+    from .honeymoon import classify_honeymoon
+
     F = _num(scn, "honeymoon.F", params.f_bar)
     omega = _num(scn, "honeymoon.omega", 0.0)
     rep = classify_honeymoon(params, F, omega)

@@ -46,7 +46,6 @@ import functools
 import math
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -207,6 +206,8 @@ def simulate(config: SimConfig, *, threads: int = 1) -> PathEnsemble:
         for block in range(n_blocks):
             fill(block)
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, range(n_blocks)))
 
@@ -218,14 +219,18 @@ def simulate(config: SimConfig, *, threads: int = 1) -> PathEnsemble:
     for j in range(n_steps):
         f = buf[j]
         if bernoulli:
-            drift = beta * signs
+            moved = f + beta * signs * dt
+        elif beta == 0.0:
+            # each tanh stage is then a zero with the sign of f, so
+            # f + drift * dt == f bit for bit, +-0 included
+            moved = f
         else:
             b1 = beta * np.tanh(beta * f)
             b2 = beta * np.tanh(beta * (f + b1 * dt))
-            drift = 0.5 * (b1 + b2)
+            moved = f + 0.5 * (b1 + b2) * dt
         pred = buf[j + 1]
         pred *= sig_dt
-        pred += f + drift * dt
+        pred += moved
         idx = np.flatnonzero(np.abs(pred) > radius)
         if idx.size:
             n_interventions += idx.size

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-import targetzone.cli
+import targetzone.mc
 from targetzone import (
     ValidationError,
     build_transient,
@@ -196,8 +196,8 @@ def test_density_maps_only_the_window(tmp_path, monkeypatch):
         seen["columns"] = ens.fundamentals.shape[1]
         return exchange_density(ens, ts, n_bins, value_range)
 
-    monkeypatch.setattr(targetzone.cli, "simulate", simulated)
-    monkeypatch.setattr(targetzone.cli, "exchange_density", binned)
+    monkeypatch.setattr(targetzone.mc, "simulate", simulated)
+    monkeypatch.setattr(targetzone.mc, "exchange_density", binned)
     doc = json.loads(run_command("density", scn, tmp_path / "d.json").read_text())
     ens = seen["ens"]
     n = len(ens.times) - 1

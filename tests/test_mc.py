@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import math
 import os
@@ -99,12 +100,43 @@ def test_noise_threads_capped_at_cpu_count(monkeypatch):
 
         map = staticmethod(map)
 
-    monkeypatch.setattr(targetzone.mc, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     cfg = quiet_config(n_paths=4 * targetzone.mc.BLOCK)
     ens = simulate(cfg, threads=64)
     assert asked == [2]
     assert np.array_equal(ens.fundamentals, simulate(cfg).fundamentals)
+
+
+@pytest.mark.parametrize("intervention", ["law", "pure_reflection"])
+def test_tanh_step_at_zero_beta_matches_the_heun_expression(intervention):
+    # simulate skips the drift at beta = 0; stepping the same noise through
+    # the full Heun expression must give the same bytes (so -0.0 != 0.0)
+    cfg = quiet_config(n_paths=300, seed=4, intervention=intervention)
+    ens = simulate(cfg)
+    n_steps, dt, beta = cfg.n_steps(), cfg.resolved_dt(), cfg.params.beta
+    assert beta == 0.0 and cfg.drift_mode == "tanh"
+    ref = np.empty((n_steps + 1, cfg.n_paths))
+    for block in range(-(-cfg.n_paths // targetzone.mc.BLOCK)):
+        targetzone.mc._fill_block(cfg.seed, block, ref, None)
+    ref[0] = 0.0
+    radius = cfg.kappa * cfg.params.f_bar
+    n_interventions = 0
+    for j in range(n_steps):
+        f = ref[j]
+        b1 = beta * np.tanh(beta * f)
+        b2 = beta * np.tanh(beta * (f + b1 * dt))
+        pred = ref[j + 1] * (cfg.params.sigma * math.sqrt(dt)) + (f + 0.5 * (b1 + b2) * dt)
+        out = np.abs(pred) > radius
+        n_interventions += np.count_nonzero(out)
+        if intervention == "law":
+            pred[out] = np.clip(pred[out], -radius, radius)
+        else:
+            pred[out] = _reflect_into(pred[out], radius)
+        ref[j + 1] = pred
+    assert n_interventions > 0
+    assert ens.n_interventions == n_interventions
+    assert np.ascontiguousarray(ens.fundamentals.T).tobytes() == ref.tobytes()
 
 
 def test_default_dt_is_update_time():

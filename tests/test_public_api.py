@@ -1,6 +1,9 @@
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,3 +30,47 @@ def test_readme_quickstart_runs(capsys):
     block = re.search(r"## Library quickstart\n+```python\n(.*?)```", readme, re.S).group(1)
     exec(compile(block, "README.md quickstart", "exec"), {})
     assert capsys.readouterr().out.strip()
+
+
+# the package's public names, by the submodule that defines them
+PUBLIC = {
+    "errors": ["BracketError", "ConvergenceError", "DomainError", "NumericalError",
+               "PoleError", "SingularSystemError", "ValidationError"],
+    "honeymoon": ["ContactReport", "classify_honeymoon"],
+    "mc": ["DensityEstimate", "PathEnsemble", "SimConfig", "classify_shape",
+           "estimate_density", "exchange_density", "exchange_paths", "simulate"],
+    "params": ["ModelParams", "RngStream", "uniform_grid"],
+    "specfun": ["kummer_1f1"],
+    "spectral": ["FeasibilityReport", "Spectrum", "build_spectrum", "eigen_residual",
+                 "ou_asymptotic_spectrum", "regime_scan", "regime_threshold",
+                 "relaxation_time", "soft_attractive_spectrum", "spread_coefficient"],
+    "stationary": ["OUStationary", "StationarySolution", "eval_stationary",
+                   "eval_stationary_derivatives", "ou_stationary", "solve_smooth_pasting",
+                   "stationary_ode_residual"],
+    "transient": ["TransientSolution", "build_transient", "eval_full", "eval_transient",
+                  "surface"],
+}
+
+
+def test_cli_import_loads_only_the_analytic_core():
+    # a fresh interpreter: this one has already imported every submodule
+    src = str(Path(targetzone.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, targetzone.cli; print(*sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = set(run.stdout.split())
+    core = {f"targetzone.{m}" for m in ("params", "spectral", "stationary", "transient")}
+    assert core <= loaded
+    assert not {"targetzone.mc", "targetzone.honeymoon", "concurrent.futures"} & loaded
+
+
+def test_public_names_resolve_to_their_submodules():
+    assert sorted(targetzone.__all__) == sorted(n for names in PUBLIC.values() for n in names)
+    for module, names in PUBLIC.items():
+        mod = importlib.import_module(f"targetzone.{module}")
+        for name in names:
+            assert getattr(targetzone, name) is getattr(mod, name), name
+    assert not hasattr(targetzone, "no_such_name")
+    namespace = {}
+    exec("from targetzone import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(targetzone.__all__)

@@ -1,4 +1,4 @@
-"""Print a sha256 digest of every CLI output a shipped scenario produces.
+"""Print a sha256 digest of every CLI output and every transient-sweep result.
 
     python tools/output_digests.py                     # this checkout
     python tools/output_digests.py --root ../other     # another checkout
@@ -7,15 +7,18 @@ Each shipped figure scenario runs ``density`` once per seed in ``SEEDS``
 (``default`` is the scenario's own seed, the others go through
 ``--seed``); every other shipped scenario runs its own subcommand, and
 ``spectrum_narrow`` also runs ``feasibility`` and ``honeymoon``.  Every
-run is made in both ``--format``s.  The output is one ``name sha256``
-line per output file, so two checkouts produce byte-identical outputs
-exactly when
+run is made in both ``--format``s.  The benchmark's ``transient_sweep``
+operations (``perfbench/workloads.py``: 16 parameter sets per seed in
+``SWEEP_SEEDS``) add one ``workloads.sweep_digest`` each.  The output is
+one ``name sha256`` line per output file or sweep set, so two checkouts
+produce byte-identical outputs exactly when
 
     diff <(python tools/output_digests.py --root A) \\
          <(python tools/output_digests.py --root B)
 
 is empty.  The package is imported from ``<root>/src`` and run in process
-through ``targetzone.cli.main``, one run at a time.
+through ``targetzone.cli.main``, one run at a time; the sweep definitions
+always come from this checkout's ``perfbench``.
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ COMMANDS = {
 FIGURE_PREFIXES = ("fig6", "fig7", "fig8")
 FORMATS = ("csv", "json")
 SEEDS = ("default", "1", "2", "3")
+SWEEP_SEEDS = (1, 2, 3, 7)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def runs(scenarios: Path) -> list[tuple[str, list[str]]]:
@@ -73,6 +78,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     src = (args.root / "src").resolve()
     sys.path.insert(0, str(src))
+    sys.path.insert(1, str(PERFBENCH))
+    import targetzone
+    import workloads
     from targetzone import cli
 
     if Path(cli.__file__).resolve().parents[1] != src:
@@ -85,6 +93,10 @@ def main(argv: list[str] | None = None) -> int:
             if code != 0:
                 raise SystemExit(f"{name}: exit code {code}")
             print(name, hashlib.sha256(out_path.read_bytes()).hexdigest(), flush=True)
+    for seed in SWEEP_SEEDS:
+        for i, p in enumerate(workloads.sweep_params(seed)):
+            print(f"sweep:seed={seed}:set{i}", workloads.sweep_digest(workloads.sweep_op(targetzone, p)),
+                  flush=True)
     return 0
 
 
