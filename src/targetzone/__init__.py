@@ -5,84 +5,39 @@ relaxation-time feasibility analysis, regime-shift detection, honeymoon
 contact-point analysis, and Monte Carlo simulation of the regulated
 fundamental with intervention policies and density estimation.
 
-Importing the package loads no submodule: each public name, and each
-submodule, is imported on first access (PEP 562), so a CLI run loads only
-what its command uses.
+Importing the package loads no submodule (PEP 562).  A submodule's own
+``__all__`` is the one declaration of its public names: on first access a
+name is looked up in the submodules of ``_PUBLIC``, imported in that order
+until one lists it, so a CLI run loads only what its command uses.
 """
 
 import importlib
 
 __version__ = "0.1.0"
 
-# submodule -> the public names it defines
-_EXPORTS = {
-    "errors": (
-        "BracketError",
-        "ConvergenceError",
-        "DomainError",
-        "NumericalError",
-        "PoleError",
-        "SingularSystemError",
-        "ValidationError",
-    ),
-    "honeymoon": ("ContactReport", "classify_honeymoon"),
-    "mc": (
-        "DensityEstimate",
-        "PathEnsemble",
-        "SimConfig",
-        "classify_shape",
-        "estimate_density",
-        "exchange_density",
-        "exchange_paths",
-        "simulate",
-    ),
-    "params": ("ModelParams", "RngStream", "uniform_grid"),
-    "specfun": ("kummer_1f1",),
-    "spectral": (
-        "FeasibilityReport",
-        "Spectrum",
-        "build_spectrum",
-        "eigen_residual",
-        "ou_asymptotic_spectrum",
-        "regime_scan",
-        "regime_threshold",
-        "relaxation_time",
-        "soft_attractive_spectrum",
-        "spread_coefficient",
-    ),
-    "stationary": (
-        "OUStationary",
-        "StationarySolution",
-        "eval_stationary",
-        "eval_stationary_derivatives",
-        "ou_stationary",
-        "solve_smooth_pasting",
-        "stationary_ode_residual",
-    ),
-    "transient": (
-        "TransientSolution",
-        "build_transient",
-        "eval_full",
-        "eval_transient",
-        "surface",
-    ),
-}
-_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = {*_EXPORTS, "cli", "roots"}
-
-__all__ = sorted(_SOURCE)
+# each after the modules it imports, except the leaf honeymoon
+_PUBLIC = ("errors", "params", "spectral", "honeymoon", "specfun", "stationary", "transient", "mc")
+_SUBMODULES = {*_PUBLIC, "cli", "roots"}
 
 
 def __getattr__(name: str):
-    """Import a public name's submodule, or a submodule, on first access."""
+    """Import a submodule, or the first submodule of ``_PUBLIC`` that lists a name."""
     if name in _SUBMODULES:
         return importlib.import_module(f"{__name__}.{name}")
-    if name not in _SOURCE:
+    # no public name starts with "_": probes like __wrapped__ import nothing
+    if name.startswith("_") and name != "__all__":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_SOURCE[name]}"), name)
+    modules = (importlib.import_module(f"{__name__}.{m}") for m in _PUBLIC)
+    if name == "__all__":
+        value = [n for mod in modules for n in mod.__all__]
+    else:
+        mod = next((mod for mod in modules if name in mod.__all__), None)
+        if mod is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(mod, name)
     globals()[name] = value
     return value
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__, *_SUBMODULES})
+    return sorted({*globals(), *__getattr__("__all__"), *_SUBMODULES})

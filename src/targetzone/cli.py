@@ -131,14 +131,7 @@ def _nums(scn: dict, key: str, default: list) -> list[float]:
 def _model(scn: dict) -> ModelParams:
     if "alpha" not in scn["model"]:
         raise ValidationError("model.alpha is required")
-    return ModelParams(
-        alpha=_num(scn, "model.alpha"),
-        beta=_num(scn, "model.beta", 0.0),
-        sigma=_num(scn, "model.sigma", 1.0),
-        f_bar=_num(scn, "model.f_bar", 0.1),
-        horizon_T=_num(scn, "model.horizon_T", 3.0),
-        r_share=_num(scn, "model.r_share", 0.0),
-    )
+    return ModelParams(**{name: _num(scn, f"model.{name}") for name in scn["model"]})
 
 
 def _sim_config(scn: dict, params: ModelParams, seed_override: int | None):
@@ -396,7 +389,11 @@ def run_command(
         raise ValidationError(f"unknown format {fmt!r}")
     target = Path(out_path) if out_path else Path(out.get("path", f"{command}.{fmt}"))
     doc, header, rows = func(scn, _model(scn), threads, seed)
-    _write_atomic(target, _json_text(doc()) if fmt == "json" else _csv(header, rows))
+    text = _json_text(doc()) if fmt == "json" else _csv(header, rows)
+    try:
+        _write_atomic(target, text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write output: {exc}") from exc
     return target
 
 

@@ -5,6 +5,16 @@ configuration raise :class:`ValidationError` (exit 2), failures inside a
 numerical routine raise :class:`NumericalError` (exit 3).
 """
 
+__all__ = [
+    "ValidationError",
+    "DomainError",
+    "PoleError",
+    "NumericalError",
+    "ConvergenceError",
+    "BracketError",
+    "SingularSystemError",
+]
+
 
 class ValidationError(ValueError):
     """Invalid parameters, configuration, or call preconditions."""

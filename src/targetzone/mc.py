@@ -35,7 +35,9 @@ the transient is below 1e-16 (every column but the last few dozen before
 the horizon), X = X_S(f) and X_S is strictly increasing, so a value's bin
 is a step function of f: a lookup table over 2^14 uniform f-cells bins
 those columns, and X_S is evaluated only in cells the table cannot
-decide, at clamped values once each, and on the late columns.  The
+decide, at clamped values once each, and on the late columns.  An
+observed range needs X_S only within two cells of min or max f, where
+values clamped onto either end take the table's end values.  The
 result equals :func:`estimate_density` of :func:`exchange_paths` bit for
 bit.
 """
@@ -309,11 +311,11 @@ def exchange_density(
     cell index), so a cell whose interval lies inside one bin maps to that
     bin without evaluating X.  Values in the other cells are mapped with
     ``eval_stationary``, those clamped onto min or max f once each, and the
-    late columns through ``exchange_paths``.  An ``"observed"`` range comes
-    from the distinct values within two cells of min or max f and the late
-    columns.  When the table cannot decide -- X_S not strictly increasing
-    on the cell boundaries, or cells narrower than a few ulps -- the result
-    is computed the direct way.  Work goes in slabs of whole time rows; no
+    late columns through ``exchange_paths``.  An ``"observed"`` range spans
+    X_S at min and max f, the other values within two cells of them, and
+    the late columns.  When the table cannot decide -- X_S not strictly
+    increasing on the cell boundaries, or cells narrower than a few ulps --
+    the result is computed the direct way.  Work goes in slabs of whole time rows; no
     temporary is as large as the ensemble.
     """
     value_range = _checked_bins(n_bins, value_range)
@@ -349,13 +351,13 @@ def exchange_density(
         raise DomainError("density values must be finite")
 
     if value_range is None:
-        # a value beyond two cells of min f maps above X_S(b_2) - w > X_S(min f)
-        near = np.concatenate([np.unique(s[(s <= cells[2]) | (s >= cells[-3])]) for s in slabs])
-        edges = np.histogram_bin_edges(
-            np.concatenate((eval_stationary(sol, np.unique(near)), x_late)), n_bins
-        )
-    else:
-        edges = np.histogram_bin_edges(xb, n_bins, value_range)
+        # a value beyond two cells of min f maps above X_S(b_2) - w > X_S(min f);
+        # min and max f map to xb[0] and xb[-1]
+        near = np.concatenate([s[(s <= cells[2]) | (s >= cells[-3])] for s in slabs])
+        near = near[(near != fmin) & (near != fmax)]
+        x = np.concatenate((xb[[0, -1]], eval_stationary(sol, near), x_late))
+        value_range = (x.min(), x.max())
+    edges = np.histogram_bin_edges(xb, n_bins, value_range)
     # table[c]: the bin of every value in cell c, n_bins when all fall
     # outside the range, n_bins + 1 when the cell needs exact values; max f
     # may index one past the last cell, which entry _CELLS repeats

@@ -47,6 +47,7 @@ __all__ = [
     "regime_scan",
     "soft_attractive_spectrum",
     "ou_asymptotic_spectrum",
+    "spread_coefficient",
 ]
 
 # x* with x* tanh(x*) = 1, as bisection plus Newton stopped at

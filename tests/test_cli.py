@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 from pathlib import Path
 
 import pytest
@@ -155,6 +156,10 @@ def test_cli_exit_codes(tmp_path):
         assert main(argv) == 2, (command, sections, extra)
     missing = tmp_path / "nope.json"
     assert main(["spectrum", "--config", str(missing), "--out", str(tmp_path / "x")]) == 2
+    # an output path that cannot be written: under a regular file, and under /dev/null
+    ok = write_scenario(tmp_path, "ok.json", {"model": {"alpha": 0.8}})
+    for out in (bad / "x.csv", Path(os.devnull) / "x.csv"):
+        assert main(["spectrum", "--config", str(ok), "--out", str(out)]) == 2, out
     # hypergeometric series blowup -> numerical failure channel
     blowup = write_scenario(
         tmp_path,

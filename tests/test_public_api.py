@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import os
 import pkgutil
 import re
@@ -74,3 +75,31 @@ def test_public_names_resolve_to_their_submodules():
     namespace = {}
     exec("from targetzone import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(targetzone.__all__)
+
+
+@pytest.mark.parametrize("module", targetzone._PUBLIC)
+def test_all_lists_exactly_the_public_definitions(module):
+    # __all__ is the one declaration of a module's public names: the package
+    # resolves its names from it, so nothing public may be left out
+    mod = importlib.import_module(f"targetzone.{module}")
+    defined = {name for name, obj in vars(mod).items()
+               if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+               and obj.__module__ == mod.__name__}
+    assert sorted(mod.__all__) == sorted(defined)
+
+
+def _fresh_submodules(code):
+    """The targetzone submodules a fresh interpreter holds after running ``code``."""
+    src = str(Path(targetzone.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code += "\nimport sys; print(*sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return {m.removeprefix("targetzone.") for m in run.stdout.split() if m.startswith("targetzone.")}
+
+
+def test_a_name_loads_only_the_submodules_it_needs():
+    assert _fresh_submodules("from targetzone import ModelParams") == {"errors", "params"}
+    assert not {"stationary", "transient", "mc"} & _fresh_submodules(
+        "from targetzone import classify_honeymoon")
+    assert _fresh_submodules(
+        "import targetzone\nassert not hasattr(targetzone, '__wrapped__')") == set()
