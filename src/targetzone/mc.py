@@ -30,16 +30,10 @@ not on the thread count.  Ensembles are bit-reproducible, but a seeded
 ensemble differs from the one versions with a stream per path drew at
 the same seed.
 
-:func:`exchange_density` histograms X(t, f_t) without building X.  Where
-the transient is below 1e-16 (every column but the last few dozen before
-the horizon), X = X_S(f) and X_S is strictly increasing, so a value's bin
-is a step function of f: a lookup table over 2^14 uniform f-cells bins
-those columns, and X_S is evaluated only in cells the table cannot
-decide, at clamped values once each, and on the late columns.  An
-observed range needs X_S only within two cells of min or max f, where
-values clamped onto either end take the table's end values.  The
-result equals :func:`estimate_density` of :func:`exchange_paths` bit for
-bit.
+:func:`exchange_density` equals :func:`estimate_density` of
+:func:`exchange_paths` bit for bit without building X: where X = X_S(f),
+a lookup table over 2^14 uniform f-cells bins f, and everything else
+goes in slabs of about 2^15 values.
 """
 
 from __future__ import annotations
@@ -296,6 +290,31 @@ def exchange_paths(ensemble: PathEnsemble, transient: TransientSolution) -> np.n
     return out.T
 
 
+def _x_slabs(ensemble: PathEnsemble, transient: TransientSolution, start: int, step: int):
+    """X over columns ``start``.. of the ensemble, ``step`` whole columns at a time."""
+    for j in range(start, len(ensemble.times), step):
+        cols = slice(j, j + step)
+        part = replace(ensemble, times=ensemble.times[cols], fundamentals=ensemble.fundamentals[:, cols])
+        yield exchange_paths(part, transient).ravel(order="K")
+
+
+def _extremes(parts) -> tuple[float, float]:
+    """Running (min, max) over the arrays ``parts``; raises unless both are finite."""
+    lo, hi = np.inf, -np.inf
+    for x in filter(np.size, parts):  # np.minimum and np.maximum keep NaN
+        lo, hi = np.minimum(lo, x.min()), np.maximum(hi, x.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError("density values must be finite")
+    return lo, hi
+
+
+def _count(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """``np.histogram`` counts of ``x`` over uniform ``edges``, which add up over parts of x."""
+    if x.size:
+        _extremes([x])  # refuses a non-finite value
+    return np.histogram(x, len(edges) - 1, (edges[0], edges[-1]))[0]
+
+
 def exchange_density(
     ensemble: PathEnsemble,
     transient: TransientSolution,
@@ -313,25 +332,25 @@ def exchange_density(
     ``eval_stationary``, those clamped onto min or max f once each, and the
     late columns through ``exchange_paths``.  An ``"observed"`` range spans
     X_S at min and max f, the other values within two cells of them, and
-    the late columns.  When the table cannot decide -- X_S not strictly
-    increasing on the cell boundaries, or cells narrower than a few ulps --
-    the result is computed the direct way.  Work goes in slabs of whole time rows; no
-    temporary is as large as the ensemble.
+    the late columns, which it keeps until it is known.  When the table
+    cannot decide -- X_S not strictly increasing on the cell boundaries,
+    or cells narrower than a few ulps -- X is binned in column slabs,
+    mapped twice for an observed range unless all columns are late.  Work
+    goes in slabs of ``_XS_SLAB`` values; no temporary is larger but a
+    late column's sine basis and the late values an observed range keeps.
     """
     value_range = _checked_bins(n_bins, value_range)
     p, sol = _shared_params(ensemble, transient), transient.stationary
+    if ensemble.fundamentals.size == 0:
+        raise DomainError("exchange_density needs at least one value")
     late = np.flatnonzero(_kept_modes(transient, np.minimum(ensemble.times, p.horizon_T)))
     first = late[0] if late.size else len(ensemble.times)
     rows = ensemble.fundamentals.T[:first]
-    if rows.size == 0:
-        return estimate_density(exchange_paths(ensemble, transient).ravel(order="K"), n_bins, value_range)
     step = max(1, _XS_SLAB // rows.shape[1])
     slabs = [rows[j : j + step] for j in range(0, len(rows), step)]
 
-    ends = np.array([(s.min(), s.max()) for s in slabs])
-    fmin, fmax = float(ends[:, 0].min()), float(ends[:, 1].max())
-    if not (math.isfinite(fmin) and math.isfinite(fmax)):
-        raise DomainError("density values must be finite")
+    # with no stationary column, h = 0 takes the direct route
+    fmin, fmax = _extremes(slabs) if slabs else (0.0, 0.0)
     cells = np.linspace(fmin, fmax, _CELLS + 1)
     xb = eval_stationary(sol, cells)
     w = 2.0 * _eval_error_bound(sol)
@@ -342,22 +361,25 @@ def exchange_density(
         and xb[2] - xb[0] > w
         and xb[-1] - xb[-3] > w
     ):
-        return estimate_density(exchange_paths(ensemble, transient).ravel(order="K"), n_bins, value_range)
-    x_late = exchange_paths(
-        replace(ensemble, times=ensemble.times[first:], fundamentals=ensemble.fundamentals[:, first:]),
-        transient,
-    ).ravel(order="K")
-    if not np.isfinite(x_late).all():
-        raise DomainError("density values must be finite")
+        # X in column slabs; an observed range maps them twice, or keeps them when all are late
+        xs = _x_slabs(ensemble, transient, 0, step)
+        if value_range is None:
+            xs = list(xs) if first == 0 else xs
+            value_range = _extremes(xs if first == 0 else _x_slabs(ensemble, transient, 0, step))
+        edges = np.histogram_bin_edges(xb, n_bins, value_range)
+        return _density(sum(_count(x, edges) for x in xs), edges)
 
+    late_x = _x_slabs(ensemble, transient, first, step)
     if value_range is None:
         # a value beyond two cells of min f maps above X_S(b_2) - w > X_S(min f);
         # min and max f map to xb[0] and xb[-1]
-        near = np.concatenate([s[(s <= cells[2]) | (s >= cells[-3])] for s in slabs])
-        near = near[(near != fmin) & (near != fmax)]
-        x = np.concatenate((xb[[0, -1]], eval_stationary(sol, near), x_late))
-        value_range = (x.min(), x.max())
+        late_x = list(late_x)
+        near = (s[(s <= cells[2]) | (s >= cells[-3])] for s in slabs)
+        near = np.concatenate([v[(v != fmin) & (v != fmax)] for v in near])
+        value_range = _extremes([xb[[0, -1]], eval_stationary(sol, near), *late_x])
     edges = np.histogram_bin_edges(xb, n_bins, value_range)
+    counts = sum((_count(x, edges) for x in late_x), np.zeros(n_bins, dtype=np.intp))
+    del late_x  # the slab loop runs without the kept late values
     # table[c]: the bin of every value in cell c, n_bins when all fall
     # outside the range, n_bins + 1 when the cell needs exact values; max f
     # may index one past the last cell, which entry _CELLS repeats
@@ -368,27 +390,23 @@ def exchange_density(
     table = lo_i - 1
     table[lo_i == 0] = n_bins
     table[(np.searchsorted(edges, hi_x, side="right") != lo_i) | (lo_x == edges[-1])] = n_bins + 1
+    del c, lo_x, hi_x, lo_i  # and without the table's temporaries
 
-    counts = np.zeros(n_bins + 2, dtype=np.intp)
-    exact, n_lo, n_hi = [x_late], 0, 0
-    scale = 1.0 / h
+    exact, n_lo, n_hi = [], 0, 0
     for s in slabs:
-        t = s - fmin
-        t *= scale
-        slot = table[t.astype(np.intp)]
-        counts += np.bincount(slot.ravel(), minlength=n_bins + 2)
+        slot = table[((s - fmin) * (1.0 / h)).astype(np.intp)]
+        counts += np.bincount(slot.ravel(), minlength=n_bins + 2)[:n_bins]
         f = s[slot == n_bins + 1]
         at_lo, at_hi = f == fmin, f == fmax
         n_lo += np.count_nonzero(at_lo)
         n_hi += np.count_nonzero(at_hi)
-        exact.append(eval_stationary(sol, f[~(at_lo | at_hi)]))
-    hist = functools.partial(np.histogram, bins=n_bins, range=(edges[0], edges[-1]))
-    counts = (
-        counts[:n_bins]
-        + hist(np.concatenate(exact))[0]
-        + n_lo * hist(xb[:1])[0]
-        + n_hi * hist(xb[-1:])[0]
-    )
+        x = eval_stationary(sol, f[~(at_lo | at_hi)])
+        if exact and sum(map(len, exact)) + len(x) > _XS_SLAB:  # one count per batch
+            counts += _count(np.concatenate(exact), edges)
+            exact = []
+        exact.append(x)
+    counts += _count(np.concatenate(exact), edges)
+    counts += n_lo * _count(xb[:1], edges) + n_hi * _count(xb[-1:], edges)
     return _density(counts, edges)
 
 
@@ -451,11 +469,8 @@ def estimate_density(
     if arr.size == 0:
         raise DomainError("estimate_density needs at least one value")
     value_range = _checked_bins(n_bins, value_range)
-    # min and max propagate NaN, and allocate nothing
-    if not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
-        raise DomainError("density values must be finite")
-    counts, edges = np.histogram(arr, bins=n_bins, range=value_range)
-    return _density(counts, edges)
+    edges = np.histogram_bin_edges(arr, n_bins, value_range or _extremes([arr]))
+    return _density(_count(arr, edges), edges)
 
 
 def _local_maxima(d: np.ndarray) -> np.ndarray:
