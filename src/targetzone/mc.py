@@ -31,14 +31,17 @@ ensemble differs from the one versions with a stream per path drew at
 the same seed.
 
 :func:`exchange_density` equals :func:`estimate_density` of
-:func:`exchange_paths` bit for bit without building X: where X = X_S(f),
-a lookup table over 2^14 uniform f-cells bins f, and everything else
-goes in slabs of about 2^15 values.
+:func:`exchange_paths` bit for bit without building X, by one route:
+where X = X_S(f), a lookup table over 2^14 uniform f-cells bins f, and
+every value in a cell it leaves undecided (all of them where X_S is not
+strictly increasing), and every late value, is mapped once, in slabs or
+batches of about 2^15 values.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import warnings
@@ -308,6 +311,18 @@ def _extremes(parts) -> tuple[float, float]:
     return lo, hi
 
 
+def _batches(parts, size: int = _XS_SLAB):
+    """The arrays ``parts`` joined in order, at most ``size`` values a batch unless one part is larger."""
+    batch = []
+    for x in parts:
+        if batch and sum(map(len, batch)) + len(x) > size:
+            joined, batch = np.concatenate(batch), []
+            yield joined
+        batch.append(x)
+    if batch:
+        yield np.concatenate(batch)
+
+
 def _count(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """``np.histogram`` counts of ``x`` over uniform ``edges``, which add up over parts of x."""
     if x.size:
@@ -328,16 +343,18 @@ def exchange_density(
     value in f-cell c has X within [X_S(b_{c-1}) - w, X_S(b_{c+2}) + w]
     (cell boundaries b; one cell of padding absorbs the rounding of the
     cell index), so a cell whose interval lies inside one bin maps to that
-    bin without evaluating X.  Values in the other cells are mapped with
-    ``eval_stationary``, those clamped onto min or max f once each, and the
-    late columns through ``exchange_paths``.  An ``"observed"`` range spans
-    X_S at min and max f, the other values within two cells of them, and
-    the late columns, which it keeps until it is known.  When the table
-    cannot decide -- X_S not strictly increasing on the cell boundaries,
-    or cells narrower than a few ulps -- X is binned in column slabs,
-    mapped twice for an observed range unless all columns are late.  Work
-    goes in slabs of ``_XS_SLAB`` values; no temporary is larger but a
-    late column's sine basis and the late values an observed range keeps.
+    bin without evaluating X.  Where the table cannot decide -- X_S not
+    strictly increasing on the cell boundaries, cells narrower than a few
+    ulps, or no stationary column -- every cell is undecided.  Values in
+    undecided cells are mapped with ``eval_stationary``, those clamped onto
+    min or max f once each, and the late columns once, through
+    ``exchange_paths``.  An ``"observed"`` range spans X_S at min and max
+    f, the other stationary values within two cells of them (all of them
+    where the table cannot decide), and the late columns, which it keeps
+    until it is known.  Work goes in slabs of ``_XS_SLAB`` values, and
+    stationary values are evaluated in batches of up to as many; no
+    temporary is larger but a late column's sine basis and the late values
+    an observed range keeps.
     """
     value_range = _checked_bins(n_bins, value_range)
     p, sol = _shared_params(ensemble, transient), transient.stationary
@@ -349,63 +366,60 @@ def exchange_density(
     step = max(1, _XS_SLAB // rows.shape[1])
     slabs = [rows[j : j + step] for j in range(0, len(rows), step)]
 
-    # with no stationary column, h = 0 takes the direct route
     fmin, fmax = _extremes(slabs) if slabs else (0.0, 0.0)
     cells = np.linspace(fmin, fmax, _CELLS + 1)
     xb = eval_stationary(sol, cells)
     w = 2.0 * _eval_error_bound(sol)
     h = (fmax - fmin) / _CELLS
-    if not (
+    decides = (
         h > max(8.0 * np.finfo(float).eps * max(abs(fmin), abs(fmax)), np.finfo(float).tiny)
         and np.all(np.diff(xb) > 0.0)
         and xb[2] - xb[0] > w
         and xb[-1] - xb[-3] > w
-    ):
-        # X in column slabs; an observed range maps them twice, or keeps them when all are late
-        xs = _x_slabs(ensemble, transient, 0, step)
-        if value_range is None:
-            xs = list(xs) if first == 0 else xs
-            value_range = _extremes(xs if first == 0 else _x_slabs(ensemble, transient, 0, step))
-        edges = np.histogram_bin_edges(xb, n_bins, value_range)
-        return _density(sum(_count(x, edges) for x in xs), edges)
-
+    )
     late_x = _x_slabs(ensemble, transient, first, step)
     if value_range is None:
-        # a value beyond two cells of min f maps above X_S(b_2) - w > X_S(min f);
-        # min and max f map to xb[0] and xb[-1]
+        # min and max f map to xb[0] and xb[-1]; where the table decides, a value
+        # beyond two cells of min f maps above X_S(b_2) - w > X_S(min f)
+        near = (s[(s <= cells[2]) | (s >= cells[-3])] if decides else s for s in slabs)
+        near = _batches(v[(v != fmin) & (v != fmax)] for v in near)
+        near = map(functools.partial(eval_stationary, sol), near)
+        ends = _extremes(itertools.chain([xb[[0, -1]]], near)) if slabs else ()
         late_x = list(late_x)
-        near = (s[(s <= cells[2]) | (s >= cells[-3])] for s in slabs)
-        near = np.concatenate([v[(v != fmin) & (v != fmax)] for v in near])
-        value_range = _extremes([xb[[0, -1]], eval_stationary(sol, near), *late_x])
+        value_range = _extremes([np.array(ends), *late_x])
     edges = np.histogram_bin_edges(xb, n_bins, value_range)
     counts = sum((_count(x, edges) for x in late_x), np.zeros(n_bins, dtype=np.intp))
     del late_x  # the slab loop runs without the kept late values
     # table[c]: the bin of every value in cell c, n_bins when all fall
-    # outside the range, n_bins + 1 when the cell needs exact values; max f
-    # may index one past the last cell, which entry _CELLS repeats
+    # outside the range, n_bins + 1 when the cell needs exact values (every
+    # cell where the table cannot decide); max f may index one past the
+    # last cell, which entry _CELLS repeats
     c = np.minimum(np.arange(_CELLS + 1), _CELLS - 1)
     lo_x = xb[np.maximum(c - 1, 0)] - w
     hi_x = xb[np.minimum(c + 2, _CELLS)] + w
     lo_i = np.searchsorted(edges, lo_x, side="right")
     table = lo_i - 1
     table[lo_i == 0] = n_bins
-    table[(np.searchsorted(edges, hi_x, side="right") != lo_i) | (lo_x == edges[-1])] = n_bins + 1
-    del c, lo_x, hi_x, lo_i  # and without the table's temporaries
+    split = np.searchsorted(edges, hi_x, side="right") != lo_i
+    table[split | (lo_x == edges[-1]) | (not decides)] = n_bins + 1
+    del c, lo_x, hi_x, lo_i, split  # and without the table's temporaries
 
-    exact, n_lo, n_hi = [], 0, 0
-    for s in slabs:
-        slot = table[((s - fmin) * (1.0 / h)).astype(np.intp)]
-        counts += np.bincount(slot.ravel(), minlength=n_bins + 2)[:n_bins]
-        f = s[slot == n_bins + 1]
-        at_lo, at_hi = f == fmin, f == fmax
-        n_lo += np.count_nonzero(at_lo)
-        n_hi += np.count_nonzero(at_hi)
-        x = eval_stationary(sol, f[~(at_lo | at_hi)])
-        if exact and sum(map(len, exact)) + len(x) > _XS_SLAB:  # one count per batch
-            counts += _count(np.concatenate(exact), edges)
-            exact = []
-        exact.append(x)
-    counts += _count(np.concatenate(exact), edges)
+    scale = 1.0 / h if decides else 0.0  # undecided: every value indexes cell 0
+    n_lo = n_hi = 0
+
+    def undecided():  # bins each slab's decided values; yields the others
+        nonlocal counts, n_lo, n_hi
+        for s in slabs:
+            slot = table[((s - fmin) * scale).astype(np.intp)]
+            counts += np.bincount(slot.ravel(), minlength=n_bins + 2)[:n_bins]
+            f = s[slot == n_bins + 1]
+            at_lo, at_hi = f == fmin, (f == fmax) & (f != fmin)  # once where fmin == fmax
+            n_lo += np.count_nonzero(at_lo)
+            n_hi += np.count_nonzero(at_hi)
+            yield f[~(at_lo | at_hi)]
+
+    for f in _batches(undecided()):  # one evaluation and count per batch
+        counts += _count(eval_stationary(sol, f), edges)
     counts += n_lo * _count(xb[:1], edges) + n_hi * _count(xb[-1:], edges)
     return _density(counts, edges)
 

@@ -20,9 +20,8 @@ crossing 1 -- is the regime shift: the smallest eigenvalue jumps upward
 and smooth pasting at the band edges stops being attainable.  Detection
 is therefore analytic (c > 1), never a heuristic jump search.
 
-The softly-attractive and mean-reverting (Ornstein-Uhlenbeck, large-k
-asymptotic) spectra from the appendix variants are provided alongside as
-plain arrays.
+The mean-reverting (Ornstein-Uhlenbeck, large-k asymptotic) spectrum
+from the appendix variant is provided alongside as a plain array.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ __all__ = [
     "relaxation_time",
     "regime_threshold",
     "regime_scan",
-    "soft_attractive_spectrum",
     "ou_asymptotic_spectrum",
     "spread_coefficient",
 ]
@@ -217,24 +215,6 @@ def regime_scan(
         t_relax = 1.0 / (omega1**2 + (0.5 * b**2 + params.alpha))
         rows.append((b, omega1, t_relax, "shifted" if cb > 1.0 else "diffusive"))
     return rows
-
-
-def soft_attractive_spectrum(params: ModelParams, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact spectrum of the softly-attractive (negated drift) variant.
-
-    Returns ``(eigenvalues, decay_rates)``: Omega_k = (2k+1) * pi /
-    (2 sqrt(2) f_bar) for k = 0..K-1 and lambda_k = (2k+1)^2 pi^2 /
-    (8 f_bar^2) - beta^2/2 - alpha.  A mode is admissible when its decay
-    rate is >= 0.  There is no spectral gap and hence no regime shift in
-    this family.
-    """
-    if K < 1:
-        raise DomainError("spectrum size K must be >= 1")
-    k = np.arange(K)
-    odd = 2 * k + 1
-    eigenvalues = odd * math.pi / (2.0 * math.sqrt(2.0) * params.f_bar)
-    decay = odd.astype(float) ** 2 * math.pi**2 / (8.0 * params.f_bar**2) - params.rho()
-    return eigenvalues, decay
 
 
 def ou_asymptotic_spectrum(

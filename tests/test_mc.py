@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import targetzone.mc
 
 from targetzone import (
+    DensityEstimate,
     DomainError,
     ModelParams,
     RngStream,
@@ -309,6 +310,24 @@ def test_bernoulli_marginal_is_symmetric():
     assert abs(skew) < 0.05
 
 
+def test_tanh_heun_step_matches_the_discrete_second_moment():
+    # at sigma 1e-4, beta f stays below 0.05, so tanh is linear to about 4e-4
+    # and the Heun step is f' = g f + sigma sqrt(dt) Z with h = beta^2 dt and
+    # g = 1 + h + h^2 / 2; hence E f_n^2 = sigma^2 dt (g^2n - 1) / (g^2 - 1).
+    # 5000 paths give a standard error of about 1.6%.  Euler (g = 1 + h)
+    # reads 0.613, a second stage at f + b1 dt / 2 reads 0.783, and noise
+    # scaled by 1.05 reads 1.1025 (Kloeden & Platen 1992 on weak schemes)
+    p = ModelParams(alpha=200.0, beta=5.0, sigma=1e-4, f_bar=0.1, horizon_T=0.2)
+    cfg = SimConfig(params=p, n_paths=5000, drift_mode="tanh", seed=1, kappa=1.0)
+    ens = simulate(cfg)
+    n, dt = cfg.n_steps(), cfg.resolved_dt()
+    assert n == 40 and ens.n_interventions == 0
+    h = p.beta**2 * dt
+    g = 1.0 + h + 0.5 * h**2
+    expected = p.sigma**2 * dt * (g ** (2 * n) - 1.0) / (g**2 - 1.0)
+    assert np.mean(ens.fundamentals[:, -1] ** 2) / expected == pytest.approx(1.0, abs=0.08)
+
+
 def test_projection_scheme_weak_error_is_half_order():
     # leaning-against-the-wind clamp = projected Euler: terminal-state error
     # against the uniform law decays like sqrt(dt)
@@ -434,15 +453,21 @@ def density_ensemble(beta=5.0, intervention="pure_reflection", drift_mode="tanh"
     return ens, build_transient(p, K=30)
 
 
+def first_late(ens, ts):
+    """Index of the first column that keeps a transient mode; the column count if none does."""
+    kept = targetzone.mc._kept_modes(ts, np.minimum(ens.times, ts.spectrum.params.horizon_T))
+    return np.append(np.flatnonzero(kept), len(kept))[0]
+
+
 def assert_density_matches_direct(monkeypatch, ens, ts, n_bins, value_range):
     """exchange_density against estimate_density(exchange_paths) to the bit.
 
-    Returns the number of columns handed to exchange_paths, summed over its calls.
+    Returns the times of the columns handed to exchange_paths, in call order.
     """
-    mapped = [0]
+    mapped = [ens.times[:0]]
 
     def spy(e, t):
-        mapped[0] += e.fundamentals.shape[1]
+        mapped.append(e.times)
         return exchange_paths(e, t)
 
     with monkeypatch.context() as patch:
@@ -451,7 +476,7 @@ def assert_density_matches_direct(monkeypatch, ens, ts, n_bins, value_range):
     ref = estimate_density(exchange_paths(ens, ts).ravel(order="K"), n_bins, value_range)
     assert got.bin_edges.tobytes() == ref.bin_edges.tobytes()
     assert got.density.tobytes() == ref.density.tobytes()
-    return mapped[0]
+    return np.concatenate(mapped)
 
 
 BETA_SHIFTED = 2.0 * regime_threshold(ModelParams(alpha=200.0, beta=0.0, sigma=0.1, f_bar=0.1))
@@ -463,7 +488,7 @@ BETA_SHIFTED = 2.0 * regime_threshold(ModelParams(alpha=200.0, beta=0.0, sigma=0
     dict(beta=0.0, intervention="pure_reflection", drift_mode="bernoulli", kappa=0.9),
     dict(beta=BETA_SHIFTED, intervention="law", drift_mode="bernoulli", kappa=0.5),
     dict(beta=BETA_SHIFTED, intervention="pure_reflection", drift_mode="tanh"),
-    dict(beta=5.0, window=(0.2, 0.9)),
+    dict(beta=5.0, window=(0.2, 0.8)),
     dict(beta=5.0, window=(0.98, 1.0)),
 ], ids=["law-beta0", "reflect-bernoulli-beta0", "law-shifted", "reflect-shifted",
         "no-late-columns", "late-columns-only"])
@@ -472,19 +497,21 @@ def test_exchange_density_matches_direct_route(monkeypatch, case, band):
     f_bar = ts.spectrum.params.f_bar
     columns = ens.fundamentals.shape[1]
     mapped = assert_density_matches_direct(monkeypatch, ens, ts, 21, (-f_bar, f_bar) if band else None)
-    if case.get("window") == (0.98, 1.0):
-        # every column is mapped, once
-        assert mapped == columns
+    # the late columns, and no other, went through exchange_paths, each once
+    assert mapped.tobytes() == ens.times[first_late(ens, ts):].tobytes()
+    if case.get("window") == (0.2, 0.8):
+        assert mapped.size == 0
+    elif case.get("window") == (0.98, 1.0):
+        assert mapped.size == columns
     else:
-        # the stationary columns went through the table, not exchange_paths
-        assert mapped < columns // 2
+        assert mapped.size < columns // 2
 
 
 def test_exchange_density_range_cuts_through_the_values(monkeypatch):
     ens, ts = density_ensemble(beta=5.0)
     x = exchange_paths(ens, ts)
     lo, hi = np.quantile(x, [0.2, 0.7])
-    assert assert_density_matches_direct(monkeypatch, ens, ts, 30, (lo, hi)) < x.shape[1] // 2
+    assert assert_density_matches_direct(monkeypatch, ens, ts, 30, (lo, hi)).size < x.shape[1] // 2
 
 
 def test_exchange_density_pinned_at_parity(monkeypatch):
@@ -496,10 +523,24 @@ def test_exchange_density_pinned_at_parity(monkeypatch):
 
 
 @pytest.mark.parametrize("band", [True, False], ids=["band", "observed"])
+@pytest.mark.parametrize("value", [0.0, 0.03])
+def test_exchange_density_counts_equal_stationary_values_once(monkeypatch, value, band):
+    # every stationary value is both min and max f, but is one value; the
+    # late columns keep their spread
+    ens, ts = density_ensemble(beta=5.0)
+    rows = ens.fundamentals.copy()
+    rows[:, : first_late(ens, ts)] = value
+    ens = dataclasses.replace(ens, fundamentals=rows)
+    f_bar = ts.spectrum.params.f_bar
+    mapped = assert_density_matches_direct(monkeypatch, ens, ts, 21, (-f_bar, f_bar) if band else None)
+    assert mapped.tobytes() == ens.times[first_late(ens, ts):].tobytes()
+
+
+@pytest.mark.parametrize("band", [True, False], ids=["band", "observed"])
 def test_exchange_density_exact_for_any_error_within_the_bound(monkeypatch, band):
     # X_S evaluated with an error of up to a third of a cell's X-width, and
     # a bound that says so: the table must still bin every value, and find
-    # the observed extremes, exactly as the direct route does
+    # the observed extremes, exactly as estimate_density(exchange_paths) does
     ens, ts = density_ensemble(beta=5.0)
     lo, hi = -0.09, 0.09
     rows = np.random.default_rng(38).uniform(lo, hi, ens.fundamentals.T.shape)
@@ -519,21 +560,26 @@ def test_exchange_density_exact_for_any_error_within_the_bound(monkeypatch, band
     monkeypatch.setattr(targetzone.mc, "_eval_error_bound", lambda sol: err)
     value_range = (-0.05, 0.05) if band else None
     mapped = assert_density_matches_direct(monkeypatch, ens, ts, 21, value_range)
-    assert mapped < ens.fundamentals.shape[1] // 2
+    assert mapped.size < ens.fundamentals.shape[1] // 2
 
 
 def test_exchange_density_falls_back_where_x_is_not_monotone(monkeypatch):
+    # X_S squared is not monotone, so the table leaves every cell undecided;
+    # still only the late columns go through exchange_paths, each once
     ens, ts = density_ensemble(beta=5.0)
     monkeypatch.setattr(targetzone.mc, "eval_stationary", lambda sol, f: eval_stationary(sol, f) ** 2)
-    mapped = assert_density_matches_direct(monkeypatch, ens, ts, 21, None)
-    assert mapped == 2 * ens.fundamentals.shape[1]
+    late = ens.times[first_late(ens, ts):]
+    assert 0 < late.size < ens.fundamentals.shape[1]
+    for value_range in (None, (0.0, 0.01)):
+        mapped = assert_density_matches_direct(monkeypatch, ens, ts, 21, value_range)
+        assert mapped.tobytes() == late.tobytes()
 
 
 def test_exchange_density_range_wider_than_the_data(monkeypatch):
     # every cell maps into one bin: no slab leaves a value to evaluate, and
     # no late column adds one
     ens, ts = density_ensemble(beta=5.0, window=(0.2, 0.8))
-    assert assert_density_matches_direct(monkeypatch, ens, ts, 11, (-100.0, 100.0)) == 0
+    assert assert_density_matches_direct(monkeypatch, ens, ts, 11, (-100.0, 100.0)).size == 0
 
 
 def test_exchange_density_refusals():
@@ -591,8 +637,7 @@ def test_exchange_density_observed_range_from_any_slab(monkeypatch, where):
     # column, and values clamped at min f in a slab other than the first
     ens, ts = density_ensemble(beta=5.0)
     rows = np.random.default_rng(39).uniform(-0.05, 0.05, ens.fundamentals.T.shape)
-    p = ts.spectrum.params
-    first = np.flatnonzero(targetzone.mc._kept_modes(ts, np.minimum(ens.times, p.horizon_T)))[0]
+    first = first_late(ens, ts)
     if where == "late-column":
         j = first
         rows[j, :5], rows[j, 5:10] = -0.09, 0.09
@@ -633,13 +678,14 @@ def figure(request):
 def test_exchange_density_memory_stays_within_slabs(monkeypatch, figure, fallback):
     # the traced peak beyond the inputs holds slab temporaries, one late
     # column's sine basis and the late values an observed range keeps (1.2 to
-    # 1.3 MB here).  Measured: 2.92 MB on fig6a and fig7b, 2.20 MB on the
-    # direct route, so the 3 MB budget leaves about 80 KB; a failure is an
-    # overrun of that budget, not a reason to raise it.  Joining the mapped
-    # values into one array (7.9 and 7.6 MB), or all of X on the direct
-    # route (26.5 MB), would not fit
+    # 1.3 MB here).  Measured: 2.92 MB on fig6a, on fig7b, and on fig7b with
+    # every cell undecided, so the 3 MB budget leaves about 80 KB; a failure
+    # is an overrun of that budget, not a reason to raise it.  Joining the
+    # mapped values into one array (7.9 and 7.6 MB), keeping the late values
+    # while the undecided stationary values are mapped for the range
+    # (3.4 MB), or building all of X (26.5 MB) would not fit
     ens, ts, value_range = figure
-    if fallback:  # X_S squared is not monotone
+    if fallback:  # X_S squared is not monotone: every cell is undecided
         monkeypatch.setattr(targetzone.mc, "eval_stationary", lambda sol, f: eval_stationary(sol, f) ** 2)
     tracemalloc.start()
     try:
@@ -744,6 +790,32 @@ def test_classify_synthetic_shapes():
     assert _local_maxima(np.array([2.0, 1.0, 0.5, 3.0])).tolist() == [0, 3]
     assert _local_maxima(np.zeros(5)).tolist() == []
     assert _local_maxima(np.array([0.0, 0.0, 0.4, 0.0, 0.0])).tolist() == [2]
+
+
+def shaped(**bins):
+    """DensityEstimate over 61 bins on [-1, 1]: 1 everywhere but the named bins."""
+    dens = np.ones(61)
+    # valley: the bins between bin 1, inside the outer 10%, and the central bin 30
+    where = dict(central_5=slice(29, 32), central_decile=slice(27, 34),
+                 outer_decile=np.r_[0:3, 58:61], valley=slice(2, 30))
+    for name, value in bins.items():
+        dens[where[name]] = value
+    return DensityEstimate(bin_edges=np.linspace(-1.0, 1.0, 62), density=dens)
+
+
+@pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
+def test_classify_shape_at_each_threshold(side):
+    # each rule's density a hair (1%) either side of its threshold
+    q = 1.0 + 0.01 * side
+    # dirac_like: central 5% (3 bins) holding 60% of the mass
+    central = 0.6 * q * 58.0 / (3.0 * (1.0 - 0.6 * q))
+    assert classify_shape(shaped(central_5=central)) == ("dirac_like" if side > 0 else "hump")
+    # two_regime: edge and inner peaks of 1, each 1.2 times the valley between them
+    assert classify_shape(shaped(valley=1.0 / (1.2 * q))) == ("two_regime" if side > 0 else "ambiguous")
+    # u_shaped: outer-decile mean 1.5 times the central-decile mean
+    assert classify_shape(shaped(outer_decile=1.5 * q)) == ("u_shaped" if side > 0 else "ambiguous")
+    # hump: central-decile mean 1.5 times the outer-decile mean
+    assert classify_shape(shaped(central_decile=1.5 * q)) == ("hump" if side > 0 else "ambiguous")
 
 
 def test_classifier_priority_dirac_over_hump():

@@ -44,7 +44,7 @@ PUBLIC = {
     "specfun": ["kummer_1f1"],
     "spectral": ["FeasibilityReport", "Spectrum", "build_spectrum", "eigen_residual",
                  "ou_asymptotic_spectrum", "regime_scan", "regime_threshold",
-                 "relaxation_time", "soft_attractive_spectrum", "spread_coefficient"],
+                 "relaxation_time", "spread_coefficient"],
     "stationary": ["OUStationary", "StationarySolution", "eval_stationary",
                    "eval_stationary_derivatives", "ou_stationary", "solve_smooth_pasting",
                    "stationary_ode_residual"],

@@ -14,7 +14,6 @@ from targetzone import (
     regime_scan,
     regime_threshold,
     relaxation_time,
-    soft_attractive_spectrum,
     spread_coefficient,
 )
 from targetzone.spectral import _C_MAX
@@ -198,25 +197,6 @@ def test_regime_scan_above_threshold_slowly_varying():
     us = math.sqrt(2.0) * omegas * p.f_bar / p.sigma
     assert np.all((us > math.pi) & (us < 1.5 * math.pi))
     assert omegas.max() / omegas.min() < 1.45
-
-
-def test_soft_attractive_spectrum():
-    p = ModelParams(alpha=0.8, beta=1.0, sigma=1.0, f_bar=0.1)
-    omegas, decay_rates = soft_attractive_spectrum(p, 4)
-    expected = np.array([1, 3, 5, 7]) * math.pi / (2.0 * math.sqrt(2.0) * 0.1)
-    assert np.allclose(omegas, expected, rtol=1e-14)
-    lam0 = math.pi**2 / (8.0 * 0.01) - 0.5 - 0.8
-    assert decay_rates[0] == pytest.approx(lam0, rel=1e-13)
-    assert lam0 > 0 and decay_rates[0] >= 0
-
-
-def test_soft_attractive_modes_vanish_at_the_band():
-    # cosine eigenfunctions must satisfy cosh(beta f_bar) psi(f_bar) = 0,
-    # i.e. cos(sqrt(2) Omega_k f_bar) = 0
-    p = ModelParams(alpha=0.8, beta=1.0, sigma=1.0, f_bar=0.1)
-    omegas, _ = soft_attractive_spectrum(p, 6)
-    boundary = np.cos(math.sqrt(2.0) * omegas * p.f_bar)
-    assert np.abs(boundary).max() < 1e-12
 
 
 def test_ou_asymptotic_spectrum():
