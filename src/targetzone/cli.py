@@ -238,13 +238,7 @@ def cmd_transient(scn: dict, params: ModelParams, threads: int, seed: int | None
 def cmd_feasibility(scn: dict, params: ModelParams, threads: int, seed: int | None):
     rep = relaxation_time(build_spectrum(params, 1))
     return _record({
-        "omega1": rep.omega1,
-        "t_relax": rep.t_relax,
-        "lower_bound": rep.lower_bound,
-        "upper_bound": rep.upper_bound,
-        "feasible": rep.feasible,
-        "regime": rep.regime,
-        "sandwich_ok": rep.sandwich_ok,
+        **dataclasses.asdict(rep),
         "horizon_T": params.horizon_T,
         "regime_threshold_beta": regime_threshold(params),
     })
@@ -326,9 +320,7 @@ def cmd_honeymoon(scn: dict, params: ModelParams, threads: int, seed: int | None
     omega = _num(scn, "honeymoon.omega", 0.0)
     rep = classify_honeymoon(params, F, omega)
     return _record({
-        "W": rep.W,
-        "applicable": rep.applicable,
-        "status": rep.status,
+        **dataclasses.asdict(rep),
         "spread_coefficient": spread_coefficient(params),
         "regime_threshold_beta": regime_threshold(params),
     })

@@ -342,21 +342,22 @@ def exchange_density(
     is X_S(f) there.  With w twice the bound on X_S's evaluation error, a
     value in f-cell c has X within [X_S(b_{c-1}) - w, X_S(b_{c+2}) + w]
     (cell boundaries b; one cell of padding absorbs the rounding of the
-    cell index), so a cell whose interval lies inside one bin maps to that
-    bin without evaluating X.  Where the table cannot decide -- X_S not
-    strictly increasing on the cell boundaries, cells narrower than a few
-    ulps, or no stationary column -- every cell is undecided.  Values in
-    undecided cells are mapped with ``eval_stationary``, those clamped onto
-    min or max f once each, and the late columns once, through
-    ``exchange_paths``.  An ``"observed"`` range spans X_S at min and max
-    f, the other stationary values within two cells of them (all of them
-    where the table cannot decide), and the late columns, which it keeps
-    until it is known.  Work goes in slabs of ``_XS_SLAB`` values, and
-    stationary values are evaluated in batches of up to as many; no
-    temporary is larger but a late column's sine basis and the late values
-    an observed range keeps.
+    cell index), clipped to an observed range, which holds every value; a
+    cell whose interval lies inside one bin (the last bin is closed) maps
+    to that bin without evaluating X.  Where the table cannot decide -- X_S
+    not strictly increasing on the cell boundaries, cells narrower than a
+    few ulps, or no stationary column -- every cell is undecided.  Values
+    in undecided cells are mapped with ``eval_stationary``, and the late
+    columns once, through ``exchange_paths``.  An ``"observed"`` range
+    spans X_S at min and max f, the other stationary values within two
+    cells of them (all of them where the table cannot decide), and the
+    late columns, which it keeps until it is known.  Work goes in slabs of
+    ``_XS_SLAB`` values, and stationary values are evaluated in batches of
+    up to as many; no temporary is larger but a late column's sine basis
+    and the late values an observed range keeps.
     """
     value_range = _checked_bins(n_bins, value_range)
+    observed = value_range is None
     p, sol = _shared_params(ensemble, transient), transient.stationary
     if ensemble.fundamentals.size == 0:
         raise DomainError("exchange_density needs at least one value")
@@ -378,7 +379,7 @@ def exchange_density(
         and xb[-1] - xb[-3] > w
     )
     late_x = _x_slabs(ensemble, transient, first, step)
-    if value_range is None:
+    if observed:
         # min and max f map to xb[0] and xb[-1]; where the table decides, a value
         # beyond two cells of min f maps above X_S(b_2) - w > X_S(min f)
         near = (s[(s <= cells[2]) | (s >= cells[-3])] if decides else s for s in slabs)
@@ -390,37 +391,31 @@ def exchange_density(
     edges = np.histogram_bin_edges(xb, n_bins, value_range)
     counts = sum((_count(x, edges) for x in late_x), np.zeros(n_bins, dtype=np.intp))
     del late_x  # the slab loop runs without the kept late values
-    # table[c]: the bin of every value in cell c, n_bins when all fall
-    # outside the range, n_bins + 1 when the cell needs exact values (every
-    # cell where the table cannot decide); max f may index one past the
-    # last cell, which entry _CELLS repeats
+    # table[c]: np.histogram's bin of every value in cell c, counted from 1
+    # (0 below the range, n_bins + 1 above it; the last bin is closed), or
+    # n_bins + 2 where the cell needs exact values (every cell where the
+    # table cannot decide); max f may index one past the last cell, which
+    # entry _CELLS repeats
     c = np.minimum(np.arange(_CELLS + 1), _CELLS - 1)
     lo_x = xb[np.maximum(c - 1, 0)] - w
     hi_x = xb[np.minimum(c + 2, _CELLS)] + w
-    lo_i = np.searchsorted(edges, lo_x, side="right")
-    table = lo_i - 1
-    table[lo_i == 0] = n_bins
-    split = np.searchsorted(edges, hi_x, side="right") != lo_i
-    table[split | (lo_x == edges[-1]) | (not decides)] = n_bins + 1
-    del c, lo_x, hi_x, lo_i, split  # and without the table's temporaries
+    if observed:  # every value lies within the edges
+        np.maximum(lo_x, edges[0], out=lo_x)
+        np.minimum(hi_x, edges[-1], out=hi_x)
+    table, hi_bin = (np.searchsorted(edges[:-1], x, "right") + (x > edges[-1]) for x in (lo_x, hi_x))
+    table[(table != hi_bin) | (not decides)] = n_bins + 2
+    del c, lo_x, hi_x, hi_bin  # and without the table's temporaries
 
     scale = 1.0 / h if decides else 0.0  # undecided: every value indexes cell 0
-    n_lo = n_hi = 0
 
     def undecided():  # bins each slab's decided values; yields the others
-        nonlocal counts, n_lo, n_hi
         for s in slabs:
             slot = table[((s - fmin) * scale).astype(np.intp)]
-            counts += np.bincount(slot.ravel(), minlength=n_bins + 2)[:n_bins]
-            f = s[slot == n_bins + 1]
-            at_lo, at_hi = f == fmin, (f == fmax) & (f != fmin)  # once where fmin == fmax
-            n_lo += np.count_nonzero(at_lo)
-            n_hi += np.count_nonzero(at_hi)
-            yield f[~(at_lo | at_hi)]
+            counts[:] += np.bincount(slot.ravel(), minlength=n_bins + 1)[1 : n_bins + 1]
+            yield s[slot == n_bins + 2]
 
     for f in _batches(undecided()):  # one evaluation and count per batch
         counts += _count(eval_stationary(sol, f), edges)
-    counts += n_lo * _count(xb[:1], edges) + n_hi * _count(xb[-1:], edges)
     return _density(counts, edges)
 
 

@@ -2,12 +2,17 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import targetzone.mc
 from targetzone import (
+    ModelParams,
+    SimConfig,
     ValidationError,
     build_transient,
     estimate_density,
@@ -142,6 +147,20 @@ MALFORMED = (
     ("feasibility", {"model": {"alpha": 0.8, "beta": 1e15, "f_bar": 0.1}}, []),
     # 64 paths x 3 columns = 192 values, fewer than the bins
     ("density", {"density": {"t_window": [0.0, 0.01], "n_bins": 200}}, []),
+    # an integer JSON number past the double range
+    ("feasibility", {"model": {"alpha": 10**400}}, []),
+    ("density", {"density": {"target": "volume"}}, []),
+    ("density", {"density": {"t_window": [0.8, 0.2]}}, []),
+    ("density", {"density": {"range": "wide"}}, []),
+    ("spectrum", {}, ["--threads", "0"]),
+)
+
+# scenario files that MALFORMED's section merge cannot express
+MALFORMED_FILES = (
+    '{"model": {"alpha": 0.8}',
+    '[{"model": {"alpha": 0.8}}]',
+    '{"model": {"alpha": 0.8}, "spectral": [5]}',
+    '{"model": {"beta": 1.0}}',
 )
 
 
@@ -154,6 +173,10 @@ def test_cli_exit_codes(tmp_path):
         scn = write_scenario(tmp_path, f"malformed{i}.json", payload)
         argv = [command, "--config", str(scn), "--out", str(tmp_path / f"m{i}")] + extra
         assert main(argv) == 2, (command, sections, extra)
+    for i, text in enumerate(MALFORMED_FILES):
+        scn = tmp_path / f"malformed-file{i}.json"
+        scn.write_text(text)
+        assert main(["spectrum", "--config", str(scn), "--out", str(tmp_path / "x")]) == 2, text
     missing = tmp_path / "nope.json"
     assert main(["spectrum", "--config", str(missing), "--out", str(tmp_path / "x")]) == 2
     # an output path that cannot be written: under a regular file, and under /dev/null
@@ -168,10 +191,46 @@ def test_cli_exit_codes(tmp_path):
          "ou": {"lambda_speed": 1.0, "mu": 0.02, "K": 2, "n_points": 5}},
     )
     assert main(["ou", "--config", str(blowup), "--out", str(tmp_path / "y")]) == 3
+    # beta f_bar = 701: the smooth-pasting amplitudes overflow
+    wide = write_scenario(tmp_path, "wide.json", {"model": {"alpha": 0.8, "beta": 1402.0, "f_bar": 0.5}})
+    assert main(["stationary", "--config", str(wide), "--out", str(tmp_path / "w")]) == 3
     # a valid model whose contact point 1/(rho - beta) lies past the double range
     far = write_scenario(tmp_path, "far.json", {"model": {"alpha": 1e-300, "beta": 1e150},
                                                 "honeymoon": {"F": 0.1}})
     assert main(["honeymoon", "--config", str(far), "--out", str(tmp_path / "z")]) == 3
+
+
+def test_run_command_refusals(tmp_path):
+    scn = write_scenario(tmp_path, "ok.json", {"model": {"alpha": 0.8}})
+    # the CLI's own parser refuses these two before run_command sees them
+    with pytest.raises(ValidationError, match="unknown command"):
+        run_command("plot", scn, tmp_path / "x")
+    with pytest.raises(ValidationError, match="unknown format"):
+        run_command("spectrum", scn, tmp_path / "x", fmt="xml")
+
+
+def test_failed_write_leaves_no_temporary_file(tmp_path, monkeypatch):
+    scn = write_scenario(tmp_path, "ok.json", {"model": {"alpha": 0.8}})
+    out = tmp_path / "out"
+
+    def refuse(src, dst):
+        raise PermissionError(f"cannot replace {dst}")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    assert main(["spectrum", "--config", str(scn), "--out", str(out / "s.csv")]) == 2
+    assert list(out.iterdir()) == []
+
+
+def test_module_runs_as_a_script(tmp_path):
+    out = tmp_path / "s.csv"
+    argv = ["-m", "targetzone.cli", "spectrum", "--config", str(SCENARIOS / "spectrum_narrow.json"),
+            "--out", str(out)]
+    src = str(SCENARIOS.parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout.strip()) == (0, str(out))
+    assert out.read_text() == run_command("spectrum", SCENARIOS / "spectrum_narrow.json",
+                                          tmp_path / "ref.csv").read_text()
 
 
 def test_cli_success_exit_code(tmp_path, capsys):
@@ -214,6 +273,19 @@ def test_density_maps_only_the_window(tmp_path, monkeypatch):
     ref = estimate_density(full[:, j0:j1].ravel(order="K"), 21, (-p.f_bar, p.f_bar))
     assert doc["density"] == ref.density.tolist()
     assert doc["bin_edges"] == ref.bin_edges.tolist()
+
+
+def test_fundamental_density_bins_the_window(tmp_path):
+    payload = {**SMALL_SIM, "density": {**SMALL_SIM["density"], "target": "fundamental"}}
+    doc = json.loads(run_command("density", write_scenario(tmp_path, "f.json", payload),
+                                 tmp_path / "d.json").read_text())
+    p = ModelParams(**SMALL_SIM["model"])
+    ens = simulate(SimConfig(params=p, **SMALL_SIM["sim"]))
+    j1 = int(0.99 * (len(ens.times) - 1)) + 1  # the window [0, 0.99]
+    ref = estimate_density(ens.fundamentals[:, :j1].ravel(order="K"), 21, (-p.f_bar, p.f_bar))
+    assert doc["target"] == "fundamental"
+    assert np.array(doc["bin_edges"]).tobytes() == ref.bin_edges.tobytes()
+    assert np.array(doc["density"]).tobytes() == ref.density.tobytes()
 
 
 def test_threads_do_not_change_output(tmp_path):

@@ -537,6 +537,32 @@ def test_exchange_density_counts_equal_stationary_values_once(monkeypatch, value
 
 
 @pytest.mark.parametrize("band", [True, False], ids=["band", "observed"])
+def test_exchange_density_bins_clamped_values_through_the_table(monkeypatch, band):
+    # law intervention clamps values exactly onto min and max f; their cells
+    # decide like any other (an observed range holds every value, and the
+    # last bin is closed), so none of them is evaluated beyond the cell
+    # boundaries
+    ens, ts = density_ensemble(beta=0.0, intervention="law", window=(0.2, 0.8))
+    f = ens.fundamentals
+    assert min(np.count_nonzero(f == f.min()), np.count_nonzero(f == f.max())) > 100
+    f_bar = ts.spectrum.params.f_bar
+    value_range = (-f_bar, f_bar) if band else None
+    evaluated = []
+
+    def spy(sol, x):
+        evaluated.append(np.asarray(x))
+        return eval_stationary(sol, x)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(targetzone.mc, "eval_stationary", spy)
+        exchange_density(ens, ts, 21, value_range)
+    cells, *mapped = evaluated
+    assert cells.size == targetzone.mc._CELLS + 1
+    assert not any(np.isin(x, [f.min(), f.max()]).any() for x in mapped)
+    assert_density_matches_direct(monkeypatch, ens, ts, 21, value_range)
+
+
+@pytest.mark.parametrize("band", [True, False], ids=["band", "observed"])
 def test_exchange_density_exact_for_any_error_within_the_bound(monkeypatch, band):
     # X_S evaluated with an error of up to a third of a cell's X-width, and
     # a bound that says so: the table must still bin every value, and find
@@ -816,6 +842,12 @@ def test_classify_shape_at_each_threshold(side):
     assert classify_shape(shaped(outer_decile=1.5 * q)) == ("u_shaped" if side > 0 else "ambiguous")
     # hump: central-decile mean 1.5 times the outer-decile mean
     assert classify_shape(shaped(central_decile=1.5 * q)) == ("hump" if side > 0 else "ambiguous")
+
+
+@pytest.mark.parametrize("value", [-1e-3, math.nan, math.inf])
+def test_classify_shape_refuses_an_invalid_density(value):
+    with pytest.raises(DomainError, match="not a valid normalized density"):
+        classify_shape(shaped(valley=value))
 
 
 def test_classifier_priority_dirac_over_hump():

@@ -103,3 +103,14 @@ def test_a_name_loads_only_the_submodules_it_needs():
         "from targetzone import classify_honeymoon")
     assert _fresh_submodules(
         "import targetzone\nassert not hasattr(targetzone, '__wrapped__')") == set()
+
+
+def test_submodules_are_package_attributes(monkeypatch):
+    # a submodule not imported yet is imported on first attribute access
+    monkeypatch.delitem(sys.modules, "targetzone.cli")
+    monkeypatch.delattr(targetzone, "cli")
+    cli = targetzone.cli
+    assert cli.__name__ == "targetzone.cli" and sys.modules["targetzone.cli"] is cli
+    names = dir(targetzone)
+    assert names == sorted(names)
+    assert {*targetzone.__all__, *targetzone._SUBMODULES, "__version__"} <= set(names)

@@ -145,8 +145,8 @@ def test_regime_scan_rows_equal_per_beta_spectrum(sigma):
 
 @pytest.mark.parametrize(
     "grid",
-    [[-0.5, 1.0], [1.0, float("nan"), 3.0], [float("nan")], [1.0, 1e200], [1.0, float("inf")]],
-    ids=["negative", "nan-inside", "nan-alone", "rho-overflow", "inf"],
+    [[-0.5, 1.0], [1.0, float("nan"), 3.0], [float("nan")], [1.0, 1e200], [1.0, float("inf")], []],
+    ids=["negative", "nan-inside", "nan-alone", "rho-overflow", "inf", "empty"],
 )
 def test_regime_scan_refuses_what_validate_refuses(grid):
     with pytest.raises(DomainError):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -227,6 +228,16 @@ def test_residual_gate_random_draws():
         for omega in spec.eigenvalues:
             assert abs(eigen_residual(float(omega), p)) < 1e-10
         assert (spec.regime == "shifted") == (spread_coefficient(p) > 1.0)
+
+
+def test_empty_spectra_refused():
+    with pytest.raises(DomainError, match="K must be >= 1"):
+        build_spectrum(REF, 0)
+    with pytest.raises(DomainError, match="K must be >= 1"):
+        ou_asymptotic_spectrum(1.0, 0.0, REF, 0)
+    empty = dataclasses.replace(build_spectrum(REF, 1), eigenvalues=np.empty(0), brackets=())
+    with pytest.raises(DomainError, match="nonempty spectrum"):
+        relaxation_time(empty)
 
 
 @pytest.mark.parametrize("f_bar", [1e-6, 0.1, 100.0])

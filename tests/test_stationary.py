@@ -153,6 +153,18 @@ def test_eval_error_within_its_bound_at_the_corners(p):
     assert_eval_error_within_bound(p)
 
 
+def test_refusals_of_the_closed_form():
+    # D = 2 alpha + beta^2 (1 - sigma^2) = 3 - 3, exactly resonant
+    with pytest.raises(DomainError, match="resonant"):
+        solve_smooth_pasting(ModelParams(alpha=1.5, beta=1.0, sigma=2.0, f_bar=0.1))
+    # beta f_bar = 701, one past the largest solved
+    with pytest.raises(OverflowError, match="floating range"):
+        solve_smooth_pasting(ModelParams(alpha=0.8, beta=1402.0, sigma=1.0, f_bar=0.5))
+    ou = ou_stationary(1.0, 0.0, FIG_PARAMS[0.0])
+    with pytest.raises(DomainError, match="DMPS"):
+        stationary_ode_residual(ou, 0.0)
+
+
 def test_solution_is_odd():
     for p in [FIG_PARAMS[5.0], *NARROW_BANDS]:
         sol = solve_smooth_pasting(p)

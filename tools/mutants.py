@@ -47,9 +47,15 @@ MUTANTS = (
     ("mode-tail-bound-1e-9", "mc.py",
      "np.count_nonzero(dropped > 1e-16, axis=1)", "np.count_nonzero(dropped > 1e-9, axis=1)"),
     ("undecided-table-marks-no-cell-exact", "mc.py",
-     "table[split | (lo_x == edges[-1]) | (not decides)]", "table[split | (lo_x == edges[-1])]"),
-    ("clamped-value-counted-at-both-ends", "mc.py",
-     "at_hi = f == fmin, (f == fmax) & (f != fmin)", "at_hi = f == fmin, f == fmax"),
+     "table[(table != hi_bin) | (not decides)]", "table[table != hi_bin]"),
+    ("bin-rule-off-by-one", "mc.py",
+     'np.searchsorted(edges[:-1], x, "right")', 'np.searchsorted(edges[1:], x, "right")'),
+    ("bin-rule-last-bin-open", "mc.py",
+     "+ (x > edges[-1])", "+ (x >= edges[-1])"),
+    ("observed-clip-on-a-given-range", "mc.py",
+     "if observed:  # every value lies within the edges", "if True:"),
+    ("observed-range-not-clipped", "mc.py",
+     "if observed:  # every value lies within the edges", "if False:"),
     ("dirac-like-at-50-percent", "mc.py",
      "if mass[central_5].sum() > 0.60:", "if mass[central_5].sum() > 0.50:"),
     ("density-window-shifted-one-column", "cli.py",
