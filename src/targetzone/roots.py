@@ -1,11 +1,11 @@
-"""Root extraction: bisection of many brackets at once, with a safeguarded
-Newton polish.
+"""Root extraction: bracketed Newton on many brackets at once ("rtsafe").
 
-Each bracket is one lane of an array; every iteration halves all live
-lanes, and each lane stops on its own rule.  A scalar bracket is the
-one-lane case.  The spectral and honeymoon modules supply analytic
-brackets, so a missing sign change signals an internal bug and raises
-:class:`BracketError` rather than being retried.
+Each bracket is one lane of an array.  Every iteration shrinks each live
+bracket on the sign of its residual and moves the lane to its Newton point
+when that lies strictly inside the bracket, else to the midpoint; without
+Newton steps this is bisection.  A scalar bracket is the one-lane case.
+Callers supply analytic brackets, so a missing sign change signals an
+internal bug and raises :class:`BracketError` rather than being retried.
 """
 
 from __future__ import annotations
@@ -18,37 +18,33 @@ from .errors import BracketError, ConvergenceError
 
 __all__ = ["bisect_newton"]
 
-# Bisection steps; the ~4-ulp width rule stops far sooner.
+# Iterations; the ~4-ulp width rule ends plain bisection far sooner.
 _MAX_ITER = 200
 
-# A lane stops at |func| <= _FTOL or at a bracket ~4 ulp wide, whichever
-# comes first.  High spectral modes end on the width rule with a residual
-# near ulp(u) * |slope| (about 2e-10 at K = 240), not 1e-12.
+# A lane stops at |residual| <= _FTOL, at a bracket ~4 ulp wide, or after a
+# Newton step of at most ~4 ulp.  High spectral modes end on the last two
+# with a residual near ulp(u) * |slope| (about 2e-10 at K = 240), not 1e-12.
 _FTOL = 1e-12
+_ULP4 = 4.0 * 2.2e-16
 
 
-def bisect_newton(
-    func: Callable,
-    lo: float | np.ndarray,
-    hi: float | np.ndarray,
-    *,
-    dfunc: Callable | None = None,
-) -> float | np.ndarray:
-    """Roots of ``func`` in [lo, hi], one per lane, refined until |func| <= 1e-12.
+def bisect_newton(func: Callable, lo: float | np.ndarray, hi: float | np.ndarray, *,
+                  newton: bool = False, x0: float | np.ndarray | None = None) -> float | np.ndarray:
+    """Roots of ``func`` in [lo, hi], one per lane, refined until |residual| <= 1e-12.
 
-    ``lo`` and ``hi`` are scalars or arrays of one shape; ``func`` and
-    ``dfunc`` map an array of that shape to one of the same shape.  A lane
-    whose endpoint is an exact zero returns that endpoint.  Bisection
-    carries each bracket to near machine width; when ``dfunc`` is supplied
-    up to 8 Newton steps polish each root, and a lane stops polishing when
-    a step would leave its own bracket.  Scalar brackets return a float.
-    Raises :class:`ConvergenceError` when a lane meets neither stop rule
-    within 200 halvings.
+    ``lo`` and ``hi`` are scalars or arrays of one shape; ``func`` maps an
+    array of that shape to the residuals, or with ``newton`` to a pair
+    (residuals, Newton steps).  Iteration starts at ``x0``, by default the
+    midpoints.  A lane whose endpoint is an exact zero returns that
+    endpoint; the others stop on the rules above.  Scalar brackets return a
+    float.  Raises :class:`ConvergenceError` when a lane meets no stop rule
+    within 200 iterations.
     """
+    f = func if newton else lambda x: (func(x), np.nan)  # a NaN step always bisects
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    flo = np.asarray(func(lo), dtype=float)
-    fhi = np.asarray(func(hi), dtype=float)
+    flo = np.asarray(f(lo)[0], dtype=float)
+    fhi = np.asarray(f(hi)[0], dtype=float)
     bad = np.sign(flo) * np.sign(fhi) > 0.0  # signs: a product of residuals may under- or overflow
     if bad.any():
         i = np.flatnonzero(bad)[0]
@@ -56,14 +52,13 @@ def bisect_newton(
             f"no sign change in {np.count_nonzero(bad)} of {bad.size} brackets; first "
             f"[{lo.flat[i]!r}, {hi.flat[i]!r}]: f(lo)={flo.flat[i]!r}, f(hi)={fhi.flat[i]!r}"
         )
-    ends = (flo == 0.0) | (fhi == 0.0)
     a, b, fa = lo, hi, flo
-    live = ~ends
+    x = 0.5 * (a + b) if x0 is None else np.asarray(x0, dtype=float)
+    live = (flo != 0.0) & (fhi != 0.0)
     for _ in range(_MAX_ITER):
-        x = 0.5 * (a + b)  # a stopped lane keeps its a and b, hence its x
-        fx = np.asarray(func(x), dtype=float)
-        # the width rule scales |x| last: 4 |x| may overflow
-        live &= ~((np.abs(fx) <= _FTOL) | ((b - a) <= np.abs(x) * (4.0 * 2.2e-16)))
+        fx, dx = f(x)
+        tol = np.abs(x) * _ULP4  # |x| scaled last: 4 |x| may overflow
+        live &= ~((np.abs(fx) <= _FTOL) | ((b - a) <= tol))
         if not live.any():
             break
         left = live & ((fa < 0.0) != (fx < 0.0))  # live lanes have fa != 0 and fx != 0
@@ -71,19 +66,15 @@ def bisect_newton(
         b = np.where(left, x, b)
         a = np.where(right, x, a)
         fa = np.where(right, fx, fa)
+        x_new = x + dx
+        small = np.abs(dx) <= tol
+        x_new = np.where((a < x_new) & (x_new < b), x_new, np.where(small, x, 0.5 * (a + b)))
+        x = np.where(live, x_new, x)  # a stopped lane keeps its x
+        live &= ~small
+        if not live.any():
+            break
     else:
         n = np.count_nonzero(live)
-        raise ConvergenceError(f"{n} of {live.size} brackets open after {_MAX_ITER} halvings")
-    if dfunc is not None:
-        live = ~ends
-        for _ in range(8):
-            fx = np.asarray(func(x), dtype=float)
-            dfx = np.asarray(dfunc(x), dtype=float)
-            live &= ~(np.abs(fx) <= _FTOL) & (dfx != 0.0)
-            if not live.any():
-                break
-            x_new = x - fx / np.where(live, dfx, 1.0)
-            live &= (a < x_new) & (x_new < b)
-            x = np.where(live, x_new, x)
+        raise ConvergenceError(f"{n} of {live.size} brackets open after {_MAX_ITER} iterations")
     x = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, x))
     return float(x) if x.ndim == 0 else x

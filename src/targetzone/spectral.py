@@ -123,19 +123,27 @@ def _u_roots(c: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
 
     The k-th root lies in (m*pi, m*pi + pi/2) with m = k - 1 while c <= 1
     and m = k once c > 1; the lower end sits just inside the pole at m*pi,
-    where u*cot(u) -> +inf, or at 1e-12 for m = 0.  Raises
-    :class:`DomainError` for c above ``_C_MAX``, where no bracket holds one.
+    where u*cot(u) -> +inf, or at 1e-12 for m = 0.  Newton steps on the
+    pole-free h = u*cos(u) - c*sin(u), which shares the root, take one
+    sin/cos pair per iteration from z - c/z, z = m*pi + pi/2 (for m = 0 at
+    most sqrt(3 (1 - c)), as u*cot(u) ~ 1 - u^2/3), clipped into the
+    bracket.  Raises :class:`DomainError` for c above ``_C_MAX``, where no
+    bracket holds one.
     """
     if np.any(c > _C_MAX):
         raise DomainError(f"spread coefficient beta f_bar tanh(beta f_bar) exceeds {_C_MAX:g}")
     m = np.where(c <= 1.0, k - 1, k)
     lo = np.where(m == 0, 1e-12, m * math.pi * (1.0 + 1e-13) + 1e-300)
     hi = m * math.pi + 0.5 * math.pi * (1.0 + 1e-9)
-    g = lambda u: u * np.cos(u) / np.sin(u) - c
-    # float_power rounds as the scalar pow(s, 2.0); s ** 2 squares, which
-    # differs from it in the last bit on about 0.1% of inputs.
-    dg = lambda u: np.cos(u) / np.sin(u) - u / np.float_power(np.sin(u), 2.0)
-    return bisect_newton(g, lo, hi, dfunc=dg), lo, hi
+    z = (m + 0.5) * math.pi
+    u0 = np.where(m == 0, np.minimum(z - c / z, np.sqrt(3.0 * np.maximum(1.0 - c, 0.0))), z - c / z)
+
+    def g_step(u):  # g = u*cot(u) - c and the Newton step -h/h'
+        s, co = np.sin(u), np.cos(u)
+        return u * co / s - c, (c * s - u * co) / ((1.0 - c) * co - u * s)
+
+    with np.errstate(divide="ignore", invalid="ignore"):  # h' = 0 gives no Newton step
+        return bisect_newton(g_step, lo, hi, newton=True, x0=np.clip(u0, lo, hi)), lo, hi
 
 
 def build_spectrum(params: ModelParams, K: int) -> Spectrum:

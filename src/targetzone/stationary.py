@@ -115,17 +115,22 @@ def _particular_d2(p: ModelParams, f):
 
 
 def _anchored_terms(sol: StationarySolution, arr: np.ndarray):
-    """The two homogeneous basis terms over cosh, anchor-scaled.
+    """The two homogeneous basis terms over cosh, anchor-scaled, and r.
 
     Exponents are <= 0 everywhere on the band, so these never overflow.
+    In-place ufuncs keep at most four arrays the size of ``arr`` alive.
     """
     p = sol.params
     r = _growth_rate(p)
     bf = np.abs(p.beta * arr)
     sech_gain = 2.0 / (1.0 + np.exp(-2.0 * bf))
-    e_plus = sol.a_anchor * np.exp(r * (arr - p.f_bar) - bf) * sech_gain
-    e_minus = -sol.a_anchor * np.exp(-r * (arr + p.f_bar) - bf) * sech_gain
-    return e_plus, e_minus, r
+
+    def term(amp, rate, shift):  # amp e^{rate (f + shift) - |beta f|} sech_gain, in one buffer
+        e = np.add(arr, shift, out=np.empty_like(arr))
+        np.exp(np.subtract(np.multiply(e, rate, out=e), bf, out=e), out=e)
+        return np.multiply(np.multiply(e, amp, out=e), sech_gain, out=e)
+
+    return term(sol.a_anchor, r, -p.f_bar), term(-sol.a_anchor, -r, p.f_bar), r
 
 
 def _sine_moments(sol: StationarySolution, u: np.ndarray) -> np.ndarray:
@@ -269,8 +274,10 @@ def eval_stationary(sol: _Stationary, f):
     if isinstance(sol, OUStationary):
         out = _ou_x(sol, arr)
     else:
-        e_plus, e_minus, _ = _anchored_terms(sol, arr)
-        out = e_plus + e_minus + _particular(sol.params, arr)
+        out, e_minus, _ = _anchored_terms(sol, arr)
+        out += e_minus
+        del e_minus  # before the particular part's temporaries
+        out += _particular(sol.params, arr)
     return float(out) if np.ndim(f) == 0 else out
 
 

@@ -704,8 +704,9 @@ def figure(request):
 def test_exchange_density_memory_stays_within_slabs(monkeypatch, figure, fallback):
     # the traced peak beyond the inputs holds slab temporaries, one late
     # column's sine basis and the late values an observed range keeps (1.2 to
-    # 1.3 MB here).  Measured: 2.92 MB on fig6a, on fig7b, and on fig7b with
-    # every cell undecided, so the 3 MB budget leaves about 80 KB; a failure
+    # 1.3 MB here).  Measured: 2.92 MB on fig6a and 2.84 MB on fig7b, with
+    # or without every cell undecided, so the 3 MB budget leaves about 80 KB
+    # on fig6a, whose peak eval_stationary does not set; a failure
     # is an overrun of that budget, not a reason to raise it.  Joining the
     # mapped values into one array (7.9 and 7.6 MB), keeping the late values
     # while the undecided stationary values are mapped for the range

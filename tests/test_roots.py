@@ -1,14 +1,17 @@
-"""Lane-wise bisection against the scalar algorithm it replaced.
+"""Lane-wise root extraction against one-bracket references in plain Python.
 
-``scalar_bisect_newton`` is the one-root-per-call bisection plus Newton
-polish that ``roots.bisect_newton`` generalises to many brackets at once;
-each lane must stop on its own rule and polish inside its own bracket, so
-every root equals the scalar result bit for bit.
+``scalar_rtsafe`` is the bracketed Newton loop of ``roots.bisect_newton``
+on one bracket per call; each lane must stop on its own rule and step
+inside its own bracket, so every root equals the scalar result bit for
+bit.  ``scalar_bisect_newton`` is the bisection plus Newton polish the
+solver used before: without a Newton step the lanes still equal its
+bisection, and with its polish it defines ``_X_STAR``.
 """
 
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -24,6 +27,7 @@ from targetzone import (
     spread_coefficient,
 )
 from targetzone.roots import bisect_newton
+from targetzone.spectral import _u_roots
 
 REF = ModelParams(alpha=0.8, beta=1.0, sigma=1.0, f_bar=0.1, horizon_T=3.0)
 
@@ -64,16 +68,56 @@ def scalar_bisect_newton(func, lo, hi, *, dfunc=None, ftol=1e-12):
     return x
 
 
+def scalar_rtsafe(func, lo, hi, x0=None):
+    """Reference: the bracketed Newton loop on one bracket, in plain Python floats.
+
+    ``func`` returns (residual, Newton step)."""
+    ulp4 = 4.0 * 2.2e-16
+    flo, fhi = func(lo)[0], func(hi)[0]
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if flo * fhi > 0.0:
+        raise BracketError("no sign change")
+    a, b, fa = lo, hi, flo
+    x = 0.5 * (a + b) if x0 is None else x0
+    for _ in range(200):
+        fx, dx = func(x)
+        if abs(fx) <= 1e-12 or (b - a) <= abs(x) * ulp4:
+            return x
+        if (fa < 0.0) != (fx < 0.0):
+            b = x
+        else:
+            a, fa = x, fx
+        small = abs(dx) <= abs(x) * ulp4
+        if a < x + dx < b:
+            x = x + dx
+        elif not small:
+            x = 0.5 * (a + b)
+        if small:
+            return x
+    raise ConvergenceError("open after 200 iterations")
+
+
 def scalar_roots(c, K):
     """Reference roots of u*cot(u) = c and their brackets, one call per root."""
-    g = lambda u: u * math.cos(u) / math.sin(u) - c
-    dg = lambda u: math.cos(u) / math.sin(u) - u / math.sin(u) ** 2
+
+    def g_step(u):
+        s, co = math.sin(u), math.cos(u)
+        d = (1.0 - c) * co - u * s
+        return u * co / s - c, (c * s - u * co) / d if d else math.nan
+
     roots, brackets = [], []
     for k in range(1, K + 1):
         m = k - 1 if c <= 1.0 else k
         lo = 1e-12 if m == 0 else m * math.pi * (1.0 + 1e-13) + 1e-300
         hi = m * math.pi + 0.5 * math.pi * (1.0 + 1e-9)
-        roots.append(scalar_bisect_newton(g, lo, hi, dfunc=dg))
+        z = (m + 0.5) * math.pi
+        u0 = z - c / z
+        if m == 0:
+            u0 = min(u0, math.sqrt(3.0 * max(1.0 - c, 0.0)))
+        roots.append(scalar_rtsafe(g_step, lo, hi, min(max(u0, lo), hi)))
         brackets.append((lo, hi))
     return np.array(roots), tuple(brackets)
 
@@ -103,6 +147,53 @@ def test_spectrum_equals_scalar_reference(p):
     assert spec.brackets == brackets
 
 
+def _outside_contract(u, c, lo, hi):
+    """Indices of roots u of u*cot(u) = c farther than the residual contract allows.
+
+    The contract |g| <= 1e-12 + floor, with g = u*cot(u) - c and floor
+    = 8 eps u |g'(u)|, allows u to sit (1e-12 + floor) / |g'(u*)| + 2 ulp
+    from the 50-digit root u*, which Newton reaches from u and which must
+    lie in the lane's bracket.
+    """
+    eps = np.finfo(float).eps
+    bad = []
+    with mpmath.workdps(50):
+        for i, (ui, ci, li, hi_) in enumerate(zip(u, c, lo, hi)):
+            g = lambda x: x * mpmath.cot(x) - ci
+            dg = lambda x: mpmath.cot(x) - x / mpmath.sin(x) ** 2
+            root = mpmath.findroot(g, mpmath.mpf(ui), solver="newton", df=dg)
+            slope = abs(dg(root))
+            delta = (1e-12 + 8.0 * eps * root * slope) / slope + 2.0 * np.spacing(float(root))
+            if not (li < root < hi_ and abs(ui - root) <= delta):
+                bad.append(i)
+    return bad
+
+
+@pytest.mark.parametrize("sigma", [0.1, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("shifted", [False, True])
+def test_spectrum_within_the_residual_contract_of_mpmath(sigma, shifted):
+    # each sigma and regime gets its own c; u is mapped back from Omega as
+    # the eigen-residual checks do, which the 8 eps u of the floor covers
+    i = [0.1, 0.5, 1.0, 2.0].index(sigma)
+    frac = (1.05, 1.4, 2.0, 2.5)[i] if shifted else (0.3, 0.6, 0.8, 0.95)[i]
+    p = dataclasses.replace(REF, sigma=sigma, beta=frac * regime_threshold(REF))
+    spec = build_spectrum(p, 200)
+    u = math.sqrt(2.0) * spec.eigenvalues * p.f_bar / p.sigma
+    lo, hi = np.array(spec.brackets).T
+    assert _outside_contract(u, np.full(200, spread_coefficient(p)), lo, hi) == []
+
+
+def test_regime_scan_roots_within_the_residual_contract_of_mpmath():
+    be = regime_threshold(REF)
+    grid = np.concatenate([np.linspace(0.0, 0.98 * be, 60), _beta_e_and_next(REF),
+                           np.linspace(1.02 * be, 2.5 * be, 60)])
+    fb = REF.f_bar
+    u = math.sqrt(2.0) * np.array([row[1] for row in regime_scan(REF, grid)]) * fb / REF.sigma
+    c = np.array([b * fb * math.tanh(b * fb) for b in grid])
+    _, lo, hi = _u_roots(c, np.ones(len(c), dtype=int))
+    assert _outside_contract(u, c, lo, hi) == []
+
+
 def test_threshold_straddles_c_one():
     c = [spread_coefficient(dataclasses.replace(REF, beta=b)) for b in _beta_e_and_next(REF)]
     assert c[0] < 1.0 < c[1]
@@ -114,12 +205,10 @@ def test_lanes_equal_scalar_reference_at_c_exactly_one():
     # No double beta gives c == 1 through spread_coefficient, so the lanes
     # are solved directly; the first lane's lower end is an exact zero.
     u_ref, brackets = scalar_roots(1.0, 240)
-    lo, hi = np.array(brackets).T
-    g = lambda u: u * np.cos(u) / np.sin(u) - 1.0
-    dg = lambda u: np.cos(u) / np.sin(u) - u / np.float_power(np.sin(u), 2.0)
-    u = bisect_newton(g, lo, hi, dfunc=dg)
+    u, lo, hi = _u_roots(np.ones(240), np.arange(1, 241))
     assert u[0] == 1e-12
     assert np.array_equal(u, u_ref)
+    assert tuple(zip(lo.tolist(), hi.tolist())) == brackets
 
 
 def test_threshold_equals_scalar_reference():
@@ -160,9 +249,11 @@ def test_bracket_error_when_any_lane_lacks_sign_change():
 
 
 def test_scalar_call_returns_python_float():
-    x = bisect_newton(lambda x: x * x - 2.0, 1.0, 2.0, dfunc=lambda x: 2.0 * x)
+    f = lambda x: (x * x - 2.0, (2.0 - x * x) / (2.0 * x))
+    x = bisect_newton(f, 1.0, 2.0, newton=True)
     assert type(x) is float
-    assert x == scalar_bisect_newton(lambda x: x * x - 2.0, 1.0, 2.0, dfunc=lambda x: 2.0 * x)
+    assert x == scalar_rtsafe(f, 1.0, 2.0)
+    assert type(bisect_newton(lambda x: x * x - 2.0, 1.0, 2.0)) is float
 
 
 def test_lanes_equal_their_one_lane_calls_and_zero_endpoints_return():
@@ -170,14 +261,38 @@ def test_lanes_equal_their_one_lane_calls_and_zero_endpoints_return():
     t = np.array([0.0, 0.3, 2.0, 8.0, 5.5])
     lo = np.array([0.0, 0.0, 1.0, 1.0, -1.0])
     hi = np.array([1.0, 1.0, 2.0, 2.0, 3.0])
-    cube = lambda x: x * x * x
-    u = bisect_newton(lambda x: cube(x) - t, lo, hi, dfunc=lambda x: 3.0 * x * x)
+    u0 = np.array([0.5, 0.9, 1.1, 1.9, 2.9])
+
+    def cube(x, t):  # x^3 - t and its Newton step, np.float64 scalars or arrays
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return x * x * x - t, (t - x * x * x) / (3.0 * x * x)
+
+    u = bisect_newton(lambda x: cube(x, t), lo, hi, newton=True, x0=u0)
     assert u[0] == 0.0 and u[3] == 2.0
     for i in range(len(t)):
-        one = bisect_newton(lambda x: cube(x) - t[i], lo[i], hi[i], dfunc=lambda x: 3.0 * x * x)
+        one = bisect_newton(lambda x: cube(x, t[i]), lo[i], hi[i], newton=True, x0=u0[i])
         assert u[i] == one
-        assert u[i] == scalar_bisect_newton(lambda x: cube(x) - t[i], lo[i], hi[i],
-                                            dfunc=lambda x: 3.0 * x * x)
+        assert u[i] == scalar_rtsafe(lambda x: cube(x, t[i]), lo[i], hi[i], u0[i])
+
+
+def test_newton_steps_that_leave_the_bracket_bisect_instead():
+    # Newton on atan from 1.5 overshoots to -1.69 and then diverges; every
+    # step outside the bracket must give way to the midpoint
+    f = lambda x: (np.arctan(x), -np.arctan(x) * (1.0 + x * x))
+    x = bisect_newton(f, -1.0, 2.0, newton=True, x0=1.5)
+    assert abs(x) <= 1e-12
+    assert x == scalar_rtsafe(f, np.float64(-1.0), np.float64(2.0), np.float64(1.5))
+
+
+def test_plain_bisection_equals_scalar_reference():
+    # without a Newton step every lane is the bisection of the solver it
+    # replaced, so the honeymoon contact point keeps its bits
+    t = np.array([0.0, 0.3, 2.0, 8.0, 5.5, 1e-300])
+    lo = np.array([0.0, 0.0, 1.0, 1.0, -1.0, 0.0])
+    hi = np.array([1.0, 1.0, 2.0, 2.0, 3.0, 1.0])
+    u = bisect_newton(lambda x: x * x * x - t, lo, hi)
+    for i in range(len(t)):
+        assert u[i] == scalar_bisect_newton(lambda x: x * x * x - t[i], lo[i], hi[i])
 
 
 def test_sign_test_survives_residuals_that_under_or_overflow():

@@ -63,6 +63,16 @@ MUTANTS = (
      "j0, j1 = int(window[0] * n) + 1, int(window[1] * n) + 2"),
     ("kummer-long-double-resum-off", "specfun.py",
      "if redo.any():", "if False:"),
+    ("newton-step-taken-outside-bracket", "roots.py",
+     "np.where((a < x_new) & (x_new < b), x_new,", "np.where(np.isfinite(x_new), x_new,"),
+    ("bracket-side-by-wrong-sign", "roots.py",
+     "left = live & ((fa < 0.0) != (fx < 0.0))", "left = live & ((fa < 0.0) == (fx < 0.0))"),
+    ("newton-stop-at-1e-6-relative", "roots.py",
+     "small = np.abs(dx) <= tol", "small = np.abs(dx) <= np.abs(x) * 1e-6"),
+    ("transient-decay-from-t", "transient.py",
+     "np.exp(-rates * (p.horizon_T - t))", "np.exp(-rates * t)"),
+    ("mode-norms-without-sin2u-term", "transient.py",
+     "params.f_bar * (1.0 - np.sin(2.0 * us) / (2.0 * us))", "params.f_bar * np.ones_like(us)"),
 )
 
 
