@@ -704,13 +704,14 @@ def figure(request):
 def test_exchange_density_memory_stays_within_slabs(monkeypatch, figure, fallback):
     # the traced peak beyond the inputs holds slab temporaries, one late
     # column's sine basis and the late values an observed range keeps (1.2 to
-    # 1.3 MB here).  Measured: 2.92 MB on fig6a and 2.84 MB on fig7b, with
-    # or without every cell undecided, so the 3 MB budget leaves about 80 KB
-    # on fig6a, whose peak eval_stationary does not set; a failure
-    # is an overrun of that budget, not a reason to raise it.  Joining the
-    # mapped values into one array (7.9 and 7.6 MB), keeping the late values
-    # while the undecided stationary values are mapped for the range
-    # (3.4 MB), or building all of X (26.5 MB) would not fit
+    # 1.3 MB here).  Measured: 2.58 MB on fig6a and 2.50 MB on fig7b, with
+    # or without every cell undecided, since each basis is filled in place
+    # (2.92 and 2.84 MB with a second array for the sine), so the 2.7 MB
+    # budget leaves about 115 KB on fig6a, whose peak eval_stationary does
+    # not set; a failure is an overrun of that budget, not a reason to raise
+    # it.  Joining the mapped values into one array (7.9 and 7.6 MB), keeping
+    # the late values while the undecided stationary values are mapped for
+    # the range (3.4 MB), or building all of X (26.5 MB) would not fit
     ens, ts, value_range = figure
     if fallback:  # X_S squared is not monotone: every cell is undecided
         monkeypatch.setattr(targetzone.mc, "eval_stationary", lambda sol, f: eval_stationary(sol, f) ** 2)
@@ -720,7 +721,7 @@ def test_exchange_density_memory_stays_within_slabs(monkeypatch, figure, fallbac
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3e6
+    assert peak <= 2.7e6
 
 
 # ------------------------------------------------------ density machinery

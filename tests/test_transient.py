@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -205,6 +206,23 @@ def test_surface_rows_equal_eval_full_bit_for_bit(params):
     mat = surface(ts, t_grid, fg)
     for i, t in enumerate(t_grid):
         assert np.array_equal(mat[i], eval_full(ts, t, fg)), i
+
+
+def test_eval_full_builds_its_sine_basis_in_one_buffer():
+    # the n x K basis is filled in place: one 401 x 200 array of doubles is
+    # 641,600 bytes.  Measured: 772,904 bytes traced with the basis in one
+    # buffer, 1,283,704 when the sine goes to a second fresh array, so the
+    # budget of 1.5 buffers fails only on that second array
+    ts = build_transient(REF, K=200)
+    fg = uniform_grid(REF, 401)
+    eval_full(ts, REF.horizon_T, fg)
+    tracemalloc.start()
+    try:
+        eval_full(ts, REF.horizon_T, fg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 401 * 200 * 8
 
 
 def test_surface_keeps_the_per_row_domain_checks():

@@ -71,6 +71,8 @@ MUTANTS = (
      "small = np.abs(dx) <= tol", "small = np.abs(dx) <= np.abs(x) * 1e-6"),
     ("transient-decay-from-t", "transient.py",
      "np.exp(-rates * (p.horizon_T - t))", "np.exp(-rates * t)"),
+    ("sine-basis-out-of-place", "transient.py",
+     "np.sin(basis, out=basis)", "basis = np.sin(basis)"),
     ("mode-norms-without-sin2u-term", "transient.py",
      "params.f_bar * (1.0 - np.sin(2.0 * us) / (2.0 * us))", "params.f_bar * np.ones_like(us)"),
 )
