@@ -256,7 +256,7 @@ def _ou_particular_d1(lambda_speed, mu, params) -> float:
 def _check_band(sol: _Stationary, f) -> np.ndarray:
     arr = np.asarray(f, dtype=float)
     fb = sol.params.f_bar
-    if np.any(np.abs(arr) > fb + 1e-12 * max(1.0, fb)):
+    if not np.all(np.abs(arr) <= fb + 1e-12 * max(1.0, fb)):  # NaN fails too
         raise DomainError("fundamental outside the band")
     return arr
 

@@ -17,11 +17,20 @@ Both inner products are elementary and evaluated in closed form.  A
 :class:`TransientSolution` sums over the first ``len(coeffs)`` roots of its
 spectrum, so ``dataclasses.replace(ts, coeffs=ts.coeffs[:k])`` is the k-mode
 partial sum.
+
+The n x K sine basis sin(u_k f / f_bar) is most of an evaluation's cost, so
+one private slot keeps the last one built: ``eval_full`` after ``surface`` on
+one grid builds no second basis.  The slot keys on the solution object, the
+grid array object and the grid's shape and bytes (a grid changed in place, or
+whose 0.0 became -0.0, is rebuilt).  It holds at most one basis per process
+and only weak references to both objects, and it empties when either dies, so
+no basis outlives its solution or its grid.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,19 +84,46 @@ def build_transient(params: ModelParams, K: int = 50) -> TransientSolution:
     return TransientSolution(spectrum=spectrum, coeffs=coeffs, stationary=sol)
 
 
+# (weak ref to the solution, weak ref to the grid, (shape, bytes) of the grid, basis)
+_LAST = None
+
+
+def _forget(_ref):
+    """Weakref callback: empty the slot when its solution or grid dies."""
+    global _LAST
+    _LAST = None
+
+
+def _sine_basis(ts: TransientSolution, arr: np.ndarray) -> np.ndarray:
+    """The read-only n x K basis sin(u_k f / f_bar), reused from the slot when ``ts`` and ``arr`` match.
+
+    On a miss the old basis is let go before the new one fills one buffer in place
+    (a second buffer, or the old basis kept through the build, costs page faults and RSS).
+    """
+    global _LAST
+    key = (arr.shape, arr.tobytes())
+    last = _LAST
+    if last is not None and last[0]() is ts and last[1]() is arr and last[2] == key:
+        return last[3]
+    _LAST = last = None
+    basis = np.multiply.outer(arr, _u_values(ts.spectrum, len(ts.coeffs)) / ts.spectrum.params.f_bar)
+    np.sin(basis, out=basis)
+    basis.flags.writeable = False
+    _LAST = (weakref.ref(ts, _forget), weakref.ref(arr, _forget), key, basis)
+    return basis
+
+
 def _transient_rows(ts: TransientSolution, t_grid, f):
     """Check every time and every f, then return the rows X*(T - t, f), one per t.
 
-    The basis sin(u_k f / f_bar) fills one n x K buffer in place (a second costs page faults and RSS);
-    it and cosh(beta f) are built once, and each row's own product rounds as a one-row call.
+    The basis and cosh(beta f) are built once, and each row's own product rounds as a one-row call.
     """
     p = ts.spectrum.params
     times = np.asarray(t_grid, dtype=float)
     if not np.all((0.0 <= times) & (times <= p.horizon_T * (1.0 + 1e-12))):
         raise DomainError("time outside [0, horizon_T]")
     arr = _check_band(ts.stationary, f)
-    basis = np.multiply.outer(arr, _u_values(ts.spectrum, len(ts.coeffs)) / p.f_bar)
-    np.sin(basis, out=basis)
+    basis = _sine_basis(ts, arr)
     damp = np.cosh(p.beta * arr)
     rates = ts.decay_rates()
     return ((basis @ (np.exp(-rates * (p.horizon_T - t)) * ts.coeffs)) / damp for t in times)

@@ -13,11 +13,14 @@ from targetzone import (
     build_transient,
     eval_full,
     eval_stationary,
+    eval_stationary_derivatives,
     eval_transient,
+    ou_stationary,
     regime_threshold,
     surface,
     uniform_grid,
 )
+from targetzone import transient
 
 REF = ModelParams(alpha=0.8, beta=1.0, sigma=1.0, f_bar=0.1, horizon_T=3.0)
 
@@ -210,12 +213,13 @@ def test_surface_rows_equal_eval_full_bit_for_bit(params):
 
 def test_eval_full_builds_its_sine_basis_in_one_buffer():
     # the n x K basis is filled in place: one 401 x 200 array of doubles is
-    # 641,600 bytes.  Measured: 772,904 bytes traced with the basis in one
+    # 641,600 bytes.  Measured: 776,177 bytes traced with the basis in one
     # buffer, 1,283,704 when the sine goes to a second fresh array, so the
-    # budget of 1.5 buffers fails only on that second array
+    # budget of 1.5 buffers fails only on that second array.  The warm-up
+    # runs on a copy of the grid, so the traced call builds its own basis
     ts = build_transient(REF, K=200)
     fg = uniform_grid(REF, 401)
-    eval_full(ts, REF.horizon_T, fg)
+    eval_full(ts, REF.horizon_T, fg.copy())
     tracemalloc.start()
     try:
         eval_full(ts, REF.horizon_T, fg)
@@ -223,6 +227,84 @@ def test_eval_full_builds_its_sine_basis_in_one_buffer():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * 401 * 200 * 8
+
+
+def test_eval_full_after_surface_reuses_its_sine_basis():
+    # Measured: 16,896 bytes traced when the basis surface built is reused,
+    # 776,177 when eval_full builds its own
+    ts = build_transient(REF, K=200)
+    fg = uniform_grid(REF, 401)
+    surface(ts, np.linspace(0.0, REF.horizon_T, 5), fg)
+    tracemalloc.start()
+    try:
+        eval_full(ts, REF.horizon_T, fg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * 401 * 200 * 8
+
+
+SLOT_K = 60
+
+
+def reference_full(params, t, grid, k=SLOT_K):
+    """eval_full on a freshly built solution (its first k modes) and a copy of the grid: no reuse."""
+    ts = build_transient(params, SLOT_K)
+    return eval_full(dataclasses.replace(ts, coeffs=ts.coeffs[:k]), t, grid.copy())
+
+
+def test_sine_basis_reused_only_for_the_same_solution_and_grid_bytes():
+    # at t = T every mode carries its full weight, so a stale basis row shows
+    ts = build_transient(REF, SLOT_K)
+    fg = uniform_grid(REF, 101)
+    fg[50] = 0.0
+    t = REF.horizon_T
+    rows = surface(ts, [t], fg)
+    assert np.array_equal(eval_full(ts, t, fg), rows[0])
+    assert np.array_equal(eval_full(ts, t, fg), reference_full(REF, t, fg))
+    assert not transient._sine_basis(ts, fg).flags.writeable
+    # same shape, other values
+    other = 0.5 * fg
+    assert np.array_equal(eval_full(ts, t, other), reference_full(REF, t, other))
+    # the same array, changed in place between calls
+    eval_full(ts, t, fg)
+    fg[3] = 0.25 * REF.f_bar
+    assert np.array_equal(eval_full(ts, t, fg), reference_full(REF, t, fg))
+    # 0.0 became -0.0: sin keeps the sign of zero, so the basis row must too
+    eval_full(ts, t, fg)
+    fg[50] = -0.0
+    got = eval_full(ts, t, fg)
+    assert np.signbit(transient._sine_basis(ts, fg)[50]).all()
+    assert np.array_equal(got, reference_full(REF, t, fg))
+
+
+def test_sine_basis_follows_the_solution_on_one_grid():
+    other_params = dataclasses.replace(REF, beta=2.0 * regime_threshold(REF), sigma=0.5)
+    a, b = build_transient(REF, SLOT_K), build_transient(other_params, SLOT_K)
+    fg = uniform_grid(REF, 101)
+    t = REF.horizon_T
+    want = {REF: reference_full(REF, t, fg), other_params: reference_full(other_params, t, fg)}
+    for ts in (a, b, a, b):
+        assert np.array_equal(eval_full(ts, t, fg), want[ts.spectrum.params])
+    # a k-mode view of the same solution gets k columns, not the parent's K
+    k = 17
+    eval_full(a, t, fg)
+    view = dataclasses.replace(a, coeffs=a.coeffs[:k])
+    assert np.array_equal(eval_full(view, t, fg), reference_full(REF, t, fg, k))
+    assert transient._sine_basis(view, fg).shape == (len(fg), k)
+
+
+@pytest.mark.parametrize("dies", ["solution", "grid"])
+def test_sine_basis_slot_empties_when_its_solution_or_grid_dies(dies):
+    ts = build_transient(REF, SLOT_K)
+    fg = uniform_grid(REF, 101)
+    eval_full(ts, REF.horizon_T, fg)
+    assert transient._LAST is not None
+    if dies == "solution":
+        del ts
+    else:
+        del fg
+    assert transient._LAST is None
 
 
 def test_surface_keeps_the_per_row_domain_checks():
@@ -278,3 +360,22 @@ def test_band_rule_shared_by_both_halves():
             eval_transient(ts, 0.0, beyond)
         with pytest.raises(DomainError):
             eval_stationary(ts.stationary, beyond)
+
+
+def test_nan_refused_by_every_entry_point():
+    ts = build_transient(REF, K=10)
+    ou = ou_stationary(1.0, 0.02, REF)
+    bad = np.array([0.0, math.nan])
+    calls = [
+        lambda: eval_full(ts, 1.0, bad),
+        lambda: eval_full(ts, 1.0, math.nan),
+        lambda: eval_transient(ts, 1.0, bad),
+        lambda: surface(ts, [0.0, 1.0], bad),
+        lambda: eval_stationary(ts.stationary, bad),
+        lambda: eval_stationary_derivatives(ts.stationary, bad),
+        lambda: eval_stationary(ou, bad),
+        lambda: eval_stationary_derivatives(ou, math.nan),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="outside the band"):
+            call()

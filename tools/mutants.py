@@ -75,6 +75,16 @@ MUTANTS = (
      "np.sin(basis, out=basis)", "basis = np.sin(basis)"),
     ("mode-norms-without-sin2u-term", "transient.py",
      "params.f_bar * (1.0 - np.sin(2.0 * us) / (2.0 * us))", "params.f_bar * np.ones_like(us)"),
+    ("transient-coeffs-sign-flipped", "transient.py",
+     "coeffs = -_sine_moments(sol, us) / norms", "coeffs = _sine_moments(sol, us) / norms"),
+    ("transient-cosh-damping-dropped", "transient.py",
+     "damp = np.cosh(p.beta * arr)", "damp = np.ones_like(arr)"),
+    ("sine-basis-key-without-bytes", "transient.py",
+     "last[1]() is arr and last[2] == key", "last[1]() is arr"),
+    ("sine-basis-key-without-solution", "transient.py",
+     "last[0]() is ts and last[1]() is arr", "last[1]() is arr"),
+    ("sine-basis-kept-past-its-grid", "transient.py",
+     "weakref.ref(arr, _forget)", "weakref.ref(arr)"),
 )
 
 
