@@ -42,7 +42,7 @@ from .transient import build_transient, surface
 __all__ = ["main", "load_scenario", "run_command"]
 
 _SCENARIO_KEYS = {
-    "model": {"alpha", "beta", "sigma", "f_bar", "horizon_T", "r_share"},
+    "model": {"alpha", "beta", "sigma", "f_bar", "horizon_T"},
     "spectral": {"K"},
     "stationary": {"beta_values", "n_points"},
     "transient": {"K", "n_times", "n_points"},

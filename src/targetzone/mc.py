@@ -83,10 +83,10 @@ class SimConfig:
     """Simulation inputs; dt defaults to the expectation-update time 1/alpha.
 
     The constructor, and so ``dataclasses.replace``, raises
-    :class:`DomainError` unless n_paths >= 1, seed >= 0, the resolved dt is
-    finite and positive, drift_mode and intervention are known, kappa lies
-    in (0, 1], and the (n_steps + 1) x n_paths float64 path buffer fits
-    numpy's largest array size.
+    :class:`DomainError` unless n_paths >= 1 and seed >= 0 are integers,
+    the resolved dt is finite and positive, drift_mode and intervention are
+    known, kappa lies in (0, 1], and the (n_steps + 1) x n_paths float64
+    path buffer fits numpy's largest array size.
     """
 
     params: ModelParams
@@ -98,10 +98,10 @@ class SimConfig:
     kappa: float = 0.9
 
     def __post_init__(self) -> None:
-        if self.n_paths < 1:
-            raise DomainError("n_paths must be >= 1")
-        if self.seed < 0:
-            raise DomainError("seed must be >= 0")
+        if not isinstance(self.n_paths, (int, np.integer)) or self.n_paths < 1:
+            raise DomainError("n_paths must be an integer >= 1")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise DomainError("seed must be an integer >= 0")
         if not 0.0 < self.resolved_dt() < math.inf:
             raise DomainError("dt must be positive and finite")
         if self.drift_mode not in DRIFT_MODES:

@@ -33,8 +33,6 @@ class ModelParams:
     sigma      diffusion scale (fundamental unit / sqrt(time))
     f_bar      band half-width (log-fundamental units)
     horizon_T  exit time of the target zone (years)
-    r_share    discount share in [0, 1); used only by the mean-reverting
-               (Ornstein-Uhlenbeck) variants
     """
 
     alpha: float
@@ -42,7 +40,6 @@ class ModelParams:
     sigma: float = 1.0
     f_bar: float = 0.1
     horizon_T: float = 3.0
-    r_share: float = 0.0
 
     def __post_init__(self) -> None:
         """Raise :class:`DomainError` naming the first violated invariant."""
@@ -56,8 +53,6 @@ class ModelParams:
             raise DomainError("horizon_T must be positive")
         if not np.isfinite(self.beta) or self.beta < 0.0:
             raise DomainError("beta must be non-negative")
-        if not 0.0 <= self.r_share < 1.0:
-            raise DomainError("r_share must lie in [0, 1)")
         try:
             rho = self.rho()
         except OverflowError:  # a float beta**2 past the double range raises

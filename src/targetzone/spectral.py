@@ -234,6 +234,8 @@ def ou_asymptotic_spectrum(
     c0 = lambda^2 (4 f_bar^2 - 6 f_bar mu + 3 mu^2) / (6 sigma^2),
     k = 1..K; error O(1/k^2).  1/Omega_1 estimates the relaxation time.
     """
+    if not isinstance(K, (int, np.integer)):
+        raise DomainError("spectrum size K must be an integer")
     if K < 1:
         raise DomainError("spectrum size K must be >= 1")
     if not (math.isfinite(lambda_speed) and lambda_speed > 0.0):

@@ -187,13 +187,11 @@ def ou_stationary(lambda_speed: float, mu: float, params: ModelParams) -> OUStat
     """Mean-reverting stationary solution via confluent hypergeometrics.
 
     X_S(f) = A 1F1[q, 1/2; z] + B (sqrt(lambda)/sigma)(f-mu)
-             1F1[q + 1/2, 3/2; z] + [lambda mu (1-r) f + r alpha] /
-             [lambda (1-r) + alpha],
+             1F1[q + 1/2, 3/2; z] + lambda mu f / (lambda + alpha),
 
-    with z = lambda (f-mu)^2 / sigma^2 and q = alpha / (2 lambda (1-r)).
+    with z = lambda (f-mu)^2 / sigma^2 and q = alpha / (2 lambda).
     A and B come from smooth pasting at the band edges.  If mu = 0 the
-    particular part has zero slope, so A = B = 0 and X_S is the constant
-    r alpha / [lambda (1-r) + alpha]: at r = 0, X_S is identically 0.
+    particular part vanishes, so A = B = 0 and X_S is identically 0.
     """
     if not (math.isfinite(lambda_speed) and lambda_speed > 0.0):
         raise DomainError("lambda_speed must be positive and finite")
@@ -213,7 +211,7 @@ def ou_stationary(lambda_speed: float, mu: float, params: ModelParams) -> OUStat
 
 
 def _ou_q(lambda_speed: float, params: ModelParams) -> float:
-    return params.alpha / (2.0 * lambda_speed * (1.0 - params.r_share))
+    return params.alpha / (2.0 * lambda_speed)
 
 
 def _ou_z(lambda_speed: float, mu: float, params: ModelParams, f):
@@ -242,15 +240,11 @@ def _ou_basis_d1(lambda_speed, mu, params, f):
 
 
 def _ou_particular(lambda_speed, mu, params, f):
-    r = params.r_share
-    lam = lambda_speed
-    return (lam * mu * (1.0 - r) * f + r * params.alpha) / (lam * (1.0 - r) + params.alpha)
+    return lambda_speed * mu * f / (lambda_speed + params.alpha)
 
 
 def _ou_particular_d1(lambda_speed, mu, params) -> float:
-    r = params.r_share
-    lam = lambda_speed
-    return lam * mu * (1.0 - r) / (lam * (1.0 - r) + params.alpha)
+    return lambda_speed * mu / (lambda_speed + params.alpha)
 
 
 def _check_band(sol: _Stationary, f) -> np.ndarray:

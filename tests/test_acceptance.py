@@ -305,7 +305,7 @@ def test_criterion_10_special_functions():
 
 
 def test_criterion_11_mean_reverting_appendix():
-    p = ModelParams(alpha=0.8, beta=0.0, sigma=1.0, f_bar=0.1, r_share=0.0)
+    p = ModelParams(alpha=0.8, beta=0.0, sigma=1.0, f_bar=0.1)
     sol0 = ou_stationary(1.0, 0.0, p)
     ok = sol0.A == 0.0
     sol = ou_stationary(1.0, 0.02, p)

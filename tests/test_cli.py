@@ -59,6 +59,13 @@ def test_transient_mode_key_rejected(tmp_path):
     assert main(["transient", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
 
 
+def test_model_r_share_key_rejected(tmp_path, capsys):
+    payload = {"model": {"alpha": 0.8, "r_share": 0.0}, "ou": {"lambda_speed": 1.0, "mu": 0.0}}
+    path = write_scenario(tmp_path, "ou.json", payload)
+    assert main(["ou", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert "r_share" in capsys.readouterr().err
+
+
 def test_missing_model_rejected(tmp_path):
     path = write_scenario(tmp_path, "bad.json", {"spectral": {"K": 5}})
     with pytest.raises(ValidationError, match="model"):

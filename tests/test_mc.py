@@ -55,7 +55,9 @@ def trapz_norm(vals, centers):
 
 BAD_CONFIG = (
     (dict(n_paths=0), "n_paths"),
+    (dict(n_paths=2.5), "n_paths"),
     (dict(seed=-1), "seed"),
+    (dict(seed=1.5), "seed"),
     (dict(dt=-0.1), "dt must"),
     (dict(dt=math.nan), "dt must"),
     (dict(dt=math.inf), "dt must"),
@@ -190,6 +192,16 @@ def test_band_containment_and_intervention_log():
     assert ens.n_interventions == np.sum(np.abs(f[:, 1:]) == radius)
 
 
+def test_bernoulli_drift_under_the_law_is_clamped():
+    p = ModelParams(alpha=200.0, beta=5.0, sigma=1.0, f_bar=0.1, horizon_T=1.0)
+    ens = simulate(quiet_config(params=p, n_paths=300, seed=3, intervention="law",
+                                drift_mode="bernoulli"))
+    f = ens.fundamentals
+    assert np.abs(f).max() <= 0.1
+    assert ens.n_interventions > 0
+    assert ens.n_interventions == np.sum(np.abs(f[:, 1:]) == 0.1)
+
+
 def _mirror(x, r):
     """Reference reflection: one mirror per pass until every value is inside."""
     out = x.copy()
@@ -267,6 +279,76 @@ def test_reflected_brownian_motion_is_uniform():
     d = estimate_density(ens.fundamentals[:, 1:].ravel(), 41, value_range=(-0.1, 0.1))
     oracle = trapz_norm(np.ones_like(d.centers), d.centers)
     assert np.trapezoid(np.abs(d.density - oracle), d.centers) < 0.05
+
+
+def reflected_bm_cdf(x, s, r):
+    """CDF at x in [-r, r] of N(0, s^2) folded into [-r, r], by images.
+
+    The fold takes y to y - 4nr on [-r + 4nr, r + 4nr] and to 2r - (y - 4nr)
+    on [r + 4nr, 3r + 4nr], so P(X <= x) = 1 + sum_n [Phi((x + 4nr) / s)
+    - Phi((2r - x + 4nr) / s)]; a term is below 1e-22 once both its
+    arguments exceed 10 in size.
+    """
+    c = 1.0 / (s * math.sqrt(2.0))
+    n_max = math.ceil((10.0 * s + 3.0 * r) / (4.0 * r))
+    return 1.0 + sum(
+        0.5 * (math.erf((x + 4 * n * r) * c) - math.erf((2 * r - x + 4 * n * r) * c))
+        for n in range(-n_max, n_max + 1)
+    )
+
+
+def ks_to_reflected_bm(sample, s, r):
+    """Kolmogorov-Smirnov distance of ``sample`` to reflected_bm_cdf.
+
+    The CDF is interpolated from 1001 nodes over [-r, r] (error below 1e-6);
+    a value outside [-r, r] meets CDF 0 or 1 there.
+    """
+    nodes = np.linspace(-r, r, 1001)
+    x = np.sort(sample)
+    cdf = np.interp(x, nodes, [reflected_bm_cdf(v, s, r) for v in nodes])
+    n = x.size
+    return max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max())
+
+
+# At beta = 0 a pure_reflection path is free Brownian motion folded into
+# [-r, r], r = kappa f_bar, exactly in law at every dt: each column at time
+# t is N(0, sigma^2 t) folded.  fig6b's sigma and f_bar; tau = (r / sigma)^2
+# is the time the noise takes to spread across r.  dt runs from 4 tau (each
+# step folds, often more than once) through tau down to fig6b's 1/alpha.
+# At beta = 0 alpha enters the paths only through the default dt = 1/alpha,
+# so each case sets alpha = 1/dt.  Seeds: case i of RBM_CASES (from 1) uses
+# seed i, fixed before the first run.  Eight columns are tested, each at
+# the 0.1% Kolmogorov critical value, so correct code fails one of them
+# with probability under 1%.
+RBM_SIGMA, RBM_F_BAR, RBM_PATHS = 0.1, 0.1, 20_000
+RBM_KS_CRIT = math.sqrt(-math.log(0.001 / 2.0) / (2.0 * RBM_PATHS))
+RBM_CASES = [(kappa, dt_over_tau) for kappa in (0.9, 1.0) for dt_over_tau in (4.0, 1.0, None)]
+
+
+def test_image_series_limits():
+    # little spread: the Gaussian CDF; much spread: the uniform law on [-r, r]
+    r = 0.1
+    for x in (-0.1, -0.03, 0.0, 0.05, 0.1):
+        gauss = 0.5 * (1.0 + math.erf(x / (0.01 * math.sqrt(2.0))))
+        assert reflected_bm_cdf(x, 0.01, r) == pytest.approx(gauss, abs=1e-15)
+        assert reflected_bm_cdf(x, 10.0, r) == pytest.approx((x + r) / (2.0 * r), abs=1e-12)
+
+
+@pytest.mark.parametrize("seed, kappa, dt_over_tau",
+                         [(i, *case) for i, case in enumerate(RBM_CASES, 1)])
+def test_reflected_bm_columns_match_the_image_series(seed, kappa, dt_over_tau):
+    r = kappa * RBM_F_BAR
+    tau = (r / RBM_SIGMA) ** 2
+    dt = 1 / 200 if dt_over_tau is None else dt_over_tau * tau
+    p = ModelParams(alpha=1.0 / dt, beta=0.0, sigma=RBM_SIGMA, f_bar=RBM_F_BAR,
+                    horizon_T=max(dt, tau))
+    ens = simulate(SimConfig(params=p, n_paths=RBM_PATHS, drift_mode="tanh",
+                             intervention="pure_reflection", seed=seed, kappa=kappa))
+    n_steps = ens.times.size - 1
+    for j in sorted({n_steps // 4, n_steps} - {0}):
+        s = RBM_SIGMA * math.sqrt(ens.times[j])
+        d = ks_to_reflected_bm(ens.fundamentals[:, j], s, r)
+        assert d < RBM_KS_CRIT, (j, d)
 
 
 def test_tanh_drift_reflected_matches_zero_flux_density():

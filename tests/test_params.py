@@ -6,7 +6,7 @@ import pytest
 
 from targetzone import DomainError, ModelParams, RngStream, uniform_grid
 
-REFERENCE = dict(alpha=0.8, beta=1.0, sigma=1.0, f_bar=0.1, horizon_T=3.0, r_share=0.0)
+REFERENCE = dict(alpha=0.8, beta=1.0, sigma=1.0, f_bar=0.1, horizon_T=3.0)
 
 # (field, value, start of the DomainError message); every float field also
 # refuses NaN and +-inf
@@ -16,8 +16,6 @@ INVALID = [
     ("f_bar", 0.0, "f_bar"),
     ("horizon_T", -2.0, "horizon_T"),
     ("beta", -0.5, "beta"),
-    ("r_share", 1.0, "r_share"),
-    ("r_share", -0.1, "r_share"),
     ("beta", 1e200, "rho"),
 ] + [(field, bad, field) for field in REFERENCE for bad in (math.nan, math.inf, -math.inf)]
 
@@ -51,9 +49,15 @@ def test_replace_refuses_what_construction_refuses(field, value, message):
         dataclasses.replace(valid, **{field: value})
 
 
+def test_no_discount_share_field():
+    # the mean-reverting variant is solved at zero discount share only
+    with pytest.raises(TypeError, match="r_share"):
+        ModelParams(alpha=0.8, r_share=0.0)
+
+
 def test_first_violated_invariant_is_named():
     with pytest.raises(DomainError, match="^alpha"):
-        ModelParams(alpha=0.0, beta=-1.0, sigma=0.0, f_bar=0.0, horizon_T=0.0, r_share=2.0)
+        ModelParams(alpha=0.0, beta=-1.0, sigma=0.0, f_bar=0.0, horizon_T=0.0)
     with pytest.raises(DomainError, match="^sigma"):
         ModelParams(alpha=0.8, beta=math.nan, sigma=0.0, f_bar=math.nan)
 

@@ -213,6 +213,11 @@ def test_ou_asymptotic_spectrum():
     # the first-mode relaxation estimate is the reciprocal of that value
     t_est = 1.0 / omegas[0]
     assert t_est == pytest.approx(1.0 / (math.pi * p.sigma**2 / (8 * p.f_bar**2) + 0.5 + c0), rel=1e-14)
+    # a count of modes is an integer; numpy's are accepted
+    assert np.array_equal(ou_asymptotic_spectrum(1.0, 0.0, p, np.int64(2)), omegas)
+    for bad in (2.5, 2.0):
+        with pytest.raises(DomainError, match="K must be an integer"):
+            ou_asymptotic_spectrum(1.0, 0.0, p, bad)
 
 
 def test_residual_gate_random_draws():

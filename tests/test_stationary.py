@@ -238,21 +238,21 @@ def test_small_beta_continuity_with_gaussian_limit():
 def test_degenerate_band_is_singular():
     # the mean-reverting solver still solves a 2x2 system; the DMPS solve
     # has a closed form that is exact on this band (see NARROW_BANDS)
-    p = ModelParams(alpha=0.8, beta=0.0, sigma=1.0, f_bar=1e-16, r_share=0.0)
+    p = ModelParams(alpha=0.8, beta=0.0, sigma=1.0, f_bar=1e-16)
     for mu in (0.0, 0.02):
         with pytest.raises(SingularSystemError):
             ou_stationary(1.0, mu, p)
 
 
 def test_ou_mu_zero_forces_amplitude_zero():
-    p = ModelParams(alpha=0.8, beta=0.0, sigma=1.0, f_bar=0.1, r_share=0.0)
+    p = ModelParams(alpha=0.8, beta=0.0, sigma=1.0, f_bar=0.1)
     sol = ou_stationary(1.0, 0.0, p)
     assert sol.A == 0.0
     assert sol.B == 0.0  # the particular part has zero slope, so X is identically 0
 
 
 def test_ou_smooth_pasting_residual():
-    p = ModelParams(alpha=0.8, beta=0.0, sigma=1.0, f_bar=0.1, r_share=0.0)
+    p = ModelParams(alpha=0.8, beta=0.0, sigma=1.0, f_bar=0.1)
     sol = ou_stationary(1.0, 0.02, p)
     _, d1, _ = eval_stationary_derivatives(sol, np.array([-0.1, 0.1]))
     assert np.abs(d1).max() < 1e-8
@@ -260,7 +260,7 @@ def test_ou_smooth_pasting_residual():
 
 @pytest.mark.parametrize("lam", [1e-3, 1.0, 10.0])
 def test_ou_interior_slope_matches_central_difference(lam):
-    p = ModelParams(alpha=0.8, beta=0.0, sigma=1.0, f_bar=0.1, r_share=0.0)
+    p = ModelParams(alpha=0.8, beta=0.0, sigma=1.0, f_bar=0.1)
     sol = ou_stationary(lam, 0.02, p)
     h = 1e-5
     grid = np.linspace(-0.1 + h, 0.1 - h, 201)
@@ -280,7 +280,7 @@ def test_ou_refuses_non_finite_speed_or_centre(bad):
 
 
 def test_ou_small_reversion_close_to_gaussian_shape():
-    p = ModelParams(alpha=0.8, beta=0.0, sigma=1.0, f_bar=0.1, r_share=0.0)
+    p = ModelParams(alpha=0.8, beta=0.0, sigma=1.0, f_bar=0.1)
     sol_ou = ou_stationary(1e-3, 0.0, p)
     grid = np.linspace(-0.1, 0.1, 60)
     diff = np.abs(eval_stationary(sol_ou, grid) - closed_form_gaussian(p, grid)).max()

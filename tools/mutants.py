@@ -39,6 +39,8 @@ MUTANTS = (
      "moved = f + beta * signs * dt", "moved = f + 0.5 * beta * signs * dt"),
     ("bernoulli-sign-biased", "mc.py",
      "gen.random(BLOCK)[: hi - lo] < 0.5", "gen.random(BLOCK)[: hi - lo] < 0.45"),
+    ("bernoulli-under-law-reflects", "mc.py",
+     'if config.intervention == "law":', 'if config.intervention == "law" and not bernoulli:'),
     ("law-clamp-radius-shrunk", "mc.py",
      "np.clip(pred[idx], -radius, radius)", "np.clip(pred[idx], -0.99 * radius, 0.99 * radius)"),
     ("reflection-folds-once", "mc.py",
@@ -56,6 +58,12 @@ MUTANTS = (
      "if observed:  # every value lies within the edges", "if True:"),
     ("observed-range-not-clipped", "mc.py",
      "if observed:  # every value lies within the edges", "if False:"),
+    ("density-edges-ignore-value-range", "mc.py",
+     "value_range or _extremes([arr])", "_extremes([arr])"),
+    ("sim-config-takes-fractional-n-paths", "mc.py",
+     "not isinstance(self.n_paths, (int, np.integer)) or self.n_paths < 1", "self.n_paths < 1"),
+    ("sim-config-takes-fractional-seed", "mc.py",
+     "not isinstance(self.seed, (int, np.integer)) or self.seed < 0", "self.seed < 0"),
     ("dirac-like-at-50-percent", "mc.py",
      "if mass[central_5].sum() > 0.60:", "if mass[central_5].sum() > 0.50:"),
     ("density-window-shifted-one-column", "cli.py",
@@ -63,6 +71,8 @@ MUTANTS = (
      "j0, j1 = int(window[0] * n) + 1, int(window[1] * n) + 2"),
     ("kummer-long-double-resum-off", "specfun.py",
      "if redo.any():", "if False:"),
+    ("ou-spectrum-takes-fractional-K", "spectral.py",
+     "if not isinstance(K, (int, np.integer)):", "if False:"),
     ("newton-step-taken-outside-bracket", "roots.py",
      "np.where((a < x_new) & (x_new < b), x_new,", "np.where(np.isfinite(x_new), x_new,"),
     ("bracket-side-by-wrong-sign", "roots.py",
