@@ -50,7 +50,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .params import ModelParams, RngStream
+from .params import ModelParams, RngStream, _check_count
 from .stationary import _eval_error_bound, eval_stationary
 from .transient import TransientSolution, eval_transient
 
@@ -98,10 +98,8 @@ class SimConfig:
     kappa: float = 0.9
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_paths, (int, np.integer)) or self.n_paths < 1:
-            raise DomainError("n_paths must be an integer >= 1")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise DomainError("seed must be an integer >= 0")
+        _check_count(self.n_paths, "n_paths", 1)
+        _check_count(self.seed, "seed", 0)
         if not 0.0 < self.resolved_dt() < math.inf:
             raise DomainError("dt must be positive and finite")
         if self.drift_mode not in DRIFT_MODES:
@@ -438,9 +436,8 @@ class DensityEstimate:
 
 
 def _checked_bins(n_bins: int, value_range) -> tuple[float, float] | None:
-    """Refuse fewer than MIN_BINS bins and any range but finite lo < hi."""
-    if n_bins < MIN_BINS:
-        raise DomainError(f"n_bins must be >= {MIN_BINS}")
+    """Refuse an n_bins that is not an integer >= MIN_BINS, and any range but finite lo < hi."""
+    _check_count(n_bins, "n_bins", MIN_BINS)
     if value_range is None:
         return None
     try:

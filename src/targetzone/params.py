@@ -65,10 +65,15 @@ class ModelParams:
         return 0.5 * self.beta**2 + self.alpha
 
 
+def _check_count(n, name: str, least: int) -> None:
+    """Refuse a count ``n`` that is not an int or numpy integer at least ``least`` (a bool is not)."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
+        raise DomainError(f"{name} must be an integer >= {least}")
+
+
 def uniform_grid(params: ModelParams, n_points: int) -> np.ndarray:
     """Uniform grid with endpoints exactly at -f_bar and +f_bar."""
-    if n_points < 2:
-        raise DomainError("grid needs at least 2 points")
+    _check_count(n_points, "grid size n_points", 2)
     return np.linspace(-params.f_bar, params.f_bar, n_points)
 
 

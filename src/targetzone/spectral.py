@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PoleError
-from .params import ModelParams
+from .params import ModelParams, _check_count
 from .roots import bisect_newton
 
 __all__ = [
@@ -148,8 +148,7 @@ def _u_roots(c: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
 
 def build_spectrum(params: ModelParams, K: int) -> Spectrum:
     """First ``K`` eigenvalues with their extraction brackets; c above 9e12 is refused."""
-    if K < 1:
-        raise DomainError("spectrum size K must be >= 1")
+    _check_count(K, "spectrum size K", 1)
     c = spread_coefficient(params)
     scale = params.sigma / (math.sqrt(2.0) * params.f_bar)
     u, lo, hi = _u_roots(np.full(K, c), np.arange(1, K + 1))
@@ -234,10 +233,7 @@ def ou_asymptotic_spectrum(
     c0 = lambda^2 (4 f_bar^2 - 6 f_bar mu + 3 mu^2) / (6 sigma^2),
     k = 1..K; error O(1/k^2).  1/Omega_1 estimates the relaxation time.
     """
-    if not isinstance(K, (int, np.integer)):
-        raise DomainError("spectrum size K must be an integer")
-    if K < 1:
-        raise DomainError("spectrum size K must be >= 1")
+    _check_count(K, "spectrum size K", 1)
     if not (math.isfinite(lambda_speed) and lambda_speed > 0.0):
         raise DomainError("lambda_speed must be positive and finite")
     if not math.isfinite(mu):

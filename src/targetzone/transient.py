@@ -19,19 +19,18 @@ spectrum, so ``dataclasses.replace(ts, coeffs=ts.coeffs[:k])`` is the k-mode
 partial sum.
 
 The n x K sine basis sin(u_k f / f_bar) is most of an evaluation's cost, so
-one private slot keeps the last one built: ``eval_full`` after ``surface`` on
-one grid builds no second basis.  The slot keys on the solution object, the
-grid array object and the grid's shape and bytes (a grid changed in place, or
-whose 0.0 became -0.0, is rebuilt).  It holds at most one basis per process
-and only weak references to both objects, and it empties when either dies, so
-no basis outlives its solution or its grid.
+each solution keeps the last basis it built in one private slot: ``eval_full``
+after ``surface`` on one grid builds no second basis.  The slot keys on the
+grid's shape and bytes (a grid changed in place, or whose 0.0 became -0.0, is
+rebuilt).  A hit hands the basis over and leaves the slot empty, so a basis
+is reused at most once and dies with its solution.  No CLI command evaluates
+one solution twice on one grid, so the slot speeds up no CLI run.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,6 +61,8 @@ class TransientSolution:
     spectrum: Spectrum
     coeffs: np.ndarray
     stationary: StationarySolution
+    # {(shape, bytes) of a grid: its basis}, at most one entry; see _sine_basis
+    _slot: dict = field(default_factory=dict, init=False, repr=False)
 
     def decay_rates(self) -> np.ndarray:
         """Omega_k^2 + rho, the per-mode exponential decay rates."""
@@ -84,32 +85,21 @@ def build_transient(params: ModelParams, K: int = 50) -> TransientSolution:
     return TransientSolution(spectrum=spectrum, coeffs=coeffs, stationary=sol)
 
 
-# (weak ref to the solution, weak ref to the grid, (shape, bytes) of the grid, basis)
-_LAST = None
-
-
-def _forget(_ref):
-    """Weakref callback: empty the slot when its solution or grid dies."""
-    global _LAST
-    _LAST = None
-
-
 def _sine_basis(ts: TransientSolution, arr: np.ndarray) -> np.ndarray:
-    """The read-only n x K basis sin(u_k f / f_bar), reused from the slot when ``ts`` and ``arr`` match.
+    """The read-only n x K basis sin(u_k f / f_bar), taken from ``ts``'s slot when ``arr`` matches its key.
 
-    On a miss the old basis is let go before the new one fills one buffer in place
-    (a second buffer, or the old basis kept through the build, costs page faults and RSS).
+    A hit empties the slot.  On a miss the old basis is let go before the new one fills
+    one buffer in place (a second buffer, or the old basis kept through the build, costs
+    page faults and RSS), and the new one is kept for the next call.
     """
-    global _LAST
     key = (arr.shape, arr.tobytes())
-    last = _LAST
-    if last is not None and last[0]() is ts and last[1]() is arr and last[2] == key:
-        return last[3]
-    _LAST = last = None
-    basis = np.multiply.outer(arr, _u_values(ts.spectrum, len(ts.coeffs)) / ts.spectrum.params.f_bar)
-    np.sin(basis, out=basis)
-    basis.flags.writeable = False
-    _LAST = (weakref.ref(ts, _forget), weakref.ref(arr, _forget), key, basis)
+    basis = ts._slot.pop(key, None)
+    if basis is None:
+        ts._slot.clear()
+        basis = np.multiply.outer(arr, _u_values(ts.spectrum, len(ts.coeffs)) / ts.spectrum.params.f_bar)
+        np.sin(basis, out=basis)
+        basis.flags.writeable = False
+        ts._slot[key] = basis
     return basis
 
 

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import statistics
 import tracemalloc
 from pathlib import Path
 
@@ -351,6 +352,47 @@ def test_reflected_bm_columns_match_the_image_series(seed, kappa, dt_over_tau):
         assert d < RBM_KS_CRIT, (j, d)
 
 
+# The pooled window: estimate_density over columns 10..40 of a 40-step run,
+# t in [10 dt, 40 dt], against the image-series bin probabilities averaged
+# over those columns.  dt = tau/40 makes the window [tau/4, tau], where the
+# band is being reached; dt = 4 tau folds each step, often more than once.
+# Columns along one path are correlated, so each path's window occupancy
+# vector (the share of its window columns in each bin) is one independent
+# draw, and each bin's pooled mass is tested against its standard error
+# across paths at a Bonferroni 0.1% bound over the bins.  Seeds: case i of
+# WINDOW_CASES (from 1) uses seed 10 + i, fixed before the first run.
+WINDOW_BINS, WINDOW_STEPS = 20, 40
+WINDOW_Z = statistics.NormalDist().inv_cdf(1.0 - 0.001 / (2 * WINDOW_BINS))
+WINDOW_CASES = [(0.9, 1 / 40), (1.0, 4.0)]
+
+
+@pytest.mark.parametrize("seed, kappa, dt_over_tau",
+                         [(10 + i, *case) for i, case in enumerate(WINDOW_CASES, 1)])
+def test_reflected_bm_pooled_window_matches_the_image_series(seed, kappa, dt_over_tau):
+    r = kappa * RBM_F_BAR
+    tau = (r / RBM_SIGMA) ** 2
+    dt = dt_over_tau * tau
+    p = ModelParams(alpha=1.0 / dt, beta=0.0, sigma=RBM_SIGMA, f_bar=RBM_F_BAR,
+                    horizon_T=WINDOW_STEPS * dt)
+    ens = simulate(SimConfig(params=p, n_paths=RBM_PATHS, drift_mode="tanh",
+                             intervention="pure_reflection", seed=seed, kappa=kappa))
+    cols = slice(WINDOW_STEPS // 4, WINDOW_STEPS + 1)
+    window = ens.fundamentals[:, cols]
+    assert np.abs(window).max() <= r  # pure_reflection keeps every value in the band
+    masses = estimate_density(window, WINDOW_BINS, (-r, r)).bin_masses()
+    edges = np.linspace(-r, r, WINDOW_BINS + 1)
+    want = np.mean([np.diff([reflected_bm_cdf(e, RBM_SIGMA * math.sqrt(t), r) for e in edges])
+                    for t in ens.times[cols]], axis=0)
+    # occupancy vectors: the last bin is closed, as in estimate_density
+    idx = np.minimum(np.searchsorted(edges, window, "right") - 1, WINDOW_BINS - 1)
+    rows = idx + WINDOW_BINS * np.arange(RBM_PATHS)[:, None]
+    occupancy = np.bincount(rows.ravel(), minlength=RBM_PATHS * WINDOW_BINS).reshape(RBM_PATHS, -1)
+    occupancy = occupancy / window.shape[1]
+    assert np.allclose(masses, occupancy.mean(axis=0), rtol=0.0, atol=1e-12)
+    z = (masses - want) / (occupancy.std(axis=0, ddof=1) / math.sqrt(RBM_PATHS))
+    assert np.abs(z).max() < WINDOW_Z, z
+
+
 def test_tanh_drift_reflected_matches_zero_flux_density():
     # stationary density of drift beta*tanh(beta f) with diffusion sigma:
     # p(f) proportional to exp(2/sigma^2 * integral of drift) = cosh(beta f)^(2/sigma^2)
@@ -696,8 +738,9 @@ def test_exchange_density_refusals():
         exchange_density(ens, ts, 11, (5.0, 6.0))
     with pytest.raises(DomainError, match="value_range"):
         exchange_density(ens, ts, 11, (0.5, 0.5))
-    with pytest.raises(DomainError, match="n_bins"):
-        exchange_density(ens, ts, 5)
+    for n_bins in (5, 10.5):
+        with pytest.raises(DomainError, match="n_bins"):
+            exchange_density(ens, ts, n_bins)
     empty = dataclasses.replace(ens, times=ens.times[:0], fundamentals=ens.fundamentals[:, :0])
     for value_range in (None, (-0.1, 0.1)):
         with pytest.raises(DomainError, match="at least one value"):
@@ -838,8 +881,9 @@ def test_density_two_point_input():
 def test_density_input_validation():
     with pytest.raises(DomainError):
         estimate_density(np.array([]), 20)
-    with pytest.raises(DomainError):
-        estimate_density(np.array([1.0, 2.0]), 5)
+    for n_bins in (5, 10.5, 20.0):
+        with pytest.raises(DomainError, match="n_bins"):
+            estimate_density(np.array([1.0, 2.0]), n_bins)
     with pytest.raises(DomainError):
         estimate_density(np.array([5.0]), 20, value_range=(-1.0, 1.0))
 

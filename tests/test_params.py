@@ -91,8 +91,9 @@ def test_grid_round_trip_endpoints_exact():
 
 
 def test_grid_rejects_degenerate_size():
-    with pytest.raises(DomainError):
-        uniform_grid(ModelParams(alpha=0.8), 1)
+    for n_points in (1, 5.5, 2.0):
+        with pytest.raises(DomainError, match="n_points must be an integer >= 2"):
+            uniform_grid(ModelParams(alpha=0.8), n_points)
 
 
 def test_rng_stream_determinism():

@@ -10,6 +10,7 @@ from targetzone import (
     ModelParams,
     PoleError,
     build_spectrum,
+    build_transient,
     eigen_residual,
     ou_asymptotic_spectrum,
     regime_scan,
@@ -236,10 +237,15 @@ def test_residual_gate_random_draws():
 
 
 def test_empty_spectra_refused():
-    with pytest.raises(DomainError, match="K must be >= 1"):
+    with pytest.raises(DomainError, match="K must be an integer >= 1"):
         build_spectrum(REF, 0)
-    with pytest.raises(DomainError, match="K must be >= 1"):
+    with pytest.raises(DomainError, match="K must be an integer >= 1"):
         ou_asymptotic_spectrum(1.0, 0.0, REF, 0)
+    # a non-integral count (or a bool) met numpy's bare TypeError; the transient builds on the spectrum
+    for build, bad in ((build_spectrum, 2.5), (build_spectrum, 2.0), (build_spectrum, True),
+                       (build_transient, 2.5)):
+        with pytest.raises(DomainError, match="K must be an integer"):
+            build(REF, bad)
     empty = dataclasses.replace(build_spectrum(REF, 1), eigenvalues=np.empty(0), brackets=())
     with pytest.raises(DomainError, match="nonempty spectrum"):
         relaxation_time(empty)

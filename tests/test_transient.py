@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import weakref
 
 import mpmath
 import numpy as np
@@ -254,24 +255,24 @@ def reference_full(params, t, grid, k=SLOT_K):
 
 
 def test_sine_basis_reused_only_for_the_same_solution_and_grid_bytes():
-    # at t = T every mode carries its full weight, so a stale basis row shows
+    # at t = T every mode carries its full weight, so a stale basis row shows.
+    # A hit empties the slot, so each grid below meets a slot filled on another key
     ts = build_transient(REF, SLOT_K)
     fg = uniform_grid(REF, 101)
     fg[50] = 0.0
     t = REF.horizon_T
     rows = surface(ts, [t], fg)
+    assert np.array_equal(rows[0], reference_full(REF, t, fg))
     assert np.array_equal(eval_full(ts, t, fg), rows[0])
-    assert np.array_equal(eval_full(ts, t, fg), reference_full(REF, t, fg))
     assert not transient._sine_basis(ts, fg).flags.writeable
     # same shape, other values
     other = 0.5 * fg
     assert np.array_equal(eval_full(ts, t, other), reference_full(REF, t, other))
     # the same array, changed in place between calls
-    eval_full(ts, t, fg)
+    assert np.array_equal(eval_full(ts, t, fg), reference_full(REF, t, fg))
     fg[3] = 0.25 * REF.f_bar
     assert np.array_equal(eval_full(ts, t, fg), reference_full(REF, t, fg))
     # 0.0 became -0.0: sin keeps the sign of zero, so the basis row must too
-    eval_full(ts, t, fg)
     fg[50] = -0.0
     got = eval_full(ts, t, fg)
     assert np.signbit(transient._sine_basis(ts, fg)[50]).all()
@@ -294,17 +295,38 @@ def test_sine_basis_follows_the_solution_on_one_grid():
     assert transient._sine_basis(view, fg).shape == (len(fg), k)
 
 
-@pytest.mark.parametrize("dies", ["solution", "grid"])
-def test_sine_basis_slot_empties_when_its_solution_or_grid_dies(dies):
+def traced_bases(monkeypatch):
+    """A list that gets a weak reference to every basis ``_sine_basis`` returns."""
+    refs, build = [], transient._sine_basis
+
+    def traced(ts, arr):
+        basis = build(ts, arr)
+        refs.append(weakref.ref(basis))
+        return basis
+
+    monkeypatch.setattr(transient, "_sine_basis", traced)
+    return refs
+
+
+def test_sine_basis_built_on_a_miss_dies_with_its_solution(monkeypatch):
+    refs = traced_bases(monkeypatch)
     ts = build_transient(REF, SLOT_K)
     fg = uniform_grid(REF, 101)
     eval_full(ts, REF.horizon_T, fg)
-    assert transient._LAST is not None
-    if dies == "solution":
-        del ts
-    else:
-        del fg
-    assert transient._LAST is None
+    assert refs[0]() is not None
+    del ts
+    assert refs[0]() is None
+
+
+def test_sine_basis_handed_over_on_a_hit(monkeypatch):
+    # surface builds the basis and eval_full takes it, so the solution keeps none
+    refs = traced_bases(monkeypatch)
+    ts = build_transient(REF, SLOT_K)
+    fg = uniform_grid(REF, 101)
+    surface(ts, [0.0, REF.horizon_T], fg)
+    eval_full(ts, REF.horizon_T, fg)
+    assert len(refs) == 2
+    assert refs[0]() is None and refs[1]() is None
 
 
 def test_surface_keeps_the_per_row_domain_checks():

@@ -61,9 +61,15 @@ MUTANTS = (
     ("density-edges-ignore-value-range", "mc.py",
      "value_range or _extremes([arr])", "_extremes([arr])"),
     ("sim-config-takes-fractional-n-paths", "mc.py",
-     "not isinstance(self.n_paths, (int, np.integer)) or self.n_paths < 1", "self.n_paths < 1"),
+     '_check_count(self.n_paths, "n_paths", 1)', '_check_count(int(self.n_paths), "n_paths", 1)'),
     ("sim-config-takes-fractional-seed", "mc.py",
-     "not isinstance(self.seed, (int, np.integer)) or self.seed < 0", "self.seed < 0"),
+     '_check_count(self.seed, "seed", 0)', '_check_count(int(self.seed), "seed", 0)'),
+    ("density-takes-fractional-n-bins", "mc.py",
+     '_check_count(n_bins, "n_bins", MIN_BINS)', '_check_count(int(n_bins), "n_bins", MIN_BINS)'),
+    ("count-takes-a-bool", "params.py",
+     "if isinstance(n, bool) or not isinstance(n, (int, np.integer))", "if not isinstance(n, (int, np.integer))"),
+    ("grid-takes-fractional-n-points", "params.py",
+     '_check_count(n_points, "grid size n_points", 2)', '_check_count(int(n_points), "grid size n_points", 2)'),
     ("dirac-like-at-50-percent", "mc.py",
      "if mass[central_5].sum() > 0.60:", "if mass[central_5].sum() > 0.50:"),
     ("density-window-shifted-one-column", "cli.py",
@@ -72,7 +78,11 @@ MUTANTS = (
     ("kummer-long-double-resum-off", "specfun.py",
      "if redo.any():", "if False:"),
     ("ou-spectrum-takes-fractional-K", "spectral.py",
-     "if not isinstance(K, (int, np.integer)):", "if False:"),
+     '_check_count(K, "spectrum size K", 1)\n    if not (math.isfinite(lambda_speed)',
+     '_check_count(int(K), "spectrum size K", 1)\n    if not (math.isfinite(lambda_speed)'),
+    ("spectrum-takes-fractional-K", "spectral.py",
+     '_check_count(K, "spectrum size K", 1)\n    c = spread_coefficient(params)',
+     '_check_count(int(K), "spectrum size K", 1)\n    c = spread_coefficient(params)'),
     ("newton-step-taken-outside-bracket", "roots.py",
      "np.where((a < x_new) & (x_new < b), x_new,", "np.where(np.isfinite(x_new), x_new,"),
     ("bracket-side-by-wrong-sign", "roots.py",
@@ -90,11 +100,9 @@ MUTANTS = (
     ("transient-cosh-damping-dropped", "transient.py",
      "damp = np.cosh(p.beta * arr)", "damp = np.ones_like(arr)"),
     ("sine-basis-key-without-bytes", "transient.py",
-     "last[1]() is arr and last[2] == key", "last[1]() is arr"),
-    ("sine-basis-key-without-solution", "transient.py",
-     "last[0]() is ts and last[1]() is arr", "last[1]() is arr"),
-    ("sine-basis-kept-past-its-grid", "transient.py",
-     "weakref.ref(arr, _forget)", "weakref.ref(arr)"),
+     "key = (arr.shape, arr.tobytes())", "key = arr.shape"),
+    ("sine-basis-kept-after-a-hit", "transient.py",
+     "basis = ts._slot.pop(key, None)", "basis = ts._slot.get(key)"),
 )
 
 
