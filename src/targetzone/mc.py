@@ -34,8 +34,11 @@ the same seed.
 :func:`exchange_paths` bit for bit without building X, by one route:
 where X = X_S(f), a lookup table over 2^14 uniform f-cells bins f, and
 every value in a cell it leaves undecided (all of them where X_S is not
-strictly increasing), and every late value, is mapped once, in slabs or
-batches of about 2^15 values.
+strictly increasing) is mapped once, in batches of up to 2^13 values
+gathered from slabs of about 2^15.  Late columns are mapped one at a
+time from the horizon back: the last column keeps the most transient
+modes, so its sine basis, the widest, is built before an observed range
+has kept any late value.
 """
 
 from __future__ import annotations
@@ -74,6 +77,11 @@ MIN_BINS = 10
 # values per eval_stationary call in exchange_paths: large enough to hide
 # the per-call overhead, small enough for its temporaries to stay in cache
 _XS_SLAB = 1 << 15
+# values per eval_stationary call on the undecided values exchange_density
+# joins over slabs: small enough that a batch's temporaries stay below one
+# late column's sine basis (batches of 2^15 took fig6b's traced peak from
+# 1.3 to 1.9 MB)
+_UNDECIDED_BATCH = 1 << 13
 # uniform f-cells of exchange_density's bin lookup table
 _CELLS = 1 << 14
 
@@ -228,12 +236,15 @@ def simulate(config: SimConfig, *, threads: int = 1) -> PathEnsemble:
         pred = buf[j + 1]
         pred *= sig_dt
         pred += moved
-        idx = np.flatnonzero(np.abs(pred) > radius)
-        if idx.size:
+        if config.intervention == "law":
+            # the whole row, in place: a value inside the band comes back as
+            # it was, and no gather or scatter is needed
+            n_interventions += int(np.count_nonzero(np.abs(pred) > radius))
+            np.clip(pred, -radius, radius, out=pred)
+        else:
+            idx = np.flatnonzero(np.abs(pred) > radius)
             n_interventions += idx.size
-            if config.intervention == "law":
-                pred[idx] = np.clip(pred[idx], -radius, radius)
-            else:
+            if idx.size:
                 pred[idx] = _reflect_into(pred[idx], radius)
 
     return PathEnsemble(
@@ -291,10 +302,10 @@ def exchange_paths(ensemble: PathEnsemble, transient: TransientSolution) -> np.n
     return out.T
 
 
-def _x_slabs(ensemble: PathEnsemble, transient: TransientSolution, start: int, step: int):
-    """X over columns ``start``.. of the ensemble, ``step`` whole columns at a time."""
-    for j in range(start, len(ensemble.times), step):
-        cols = slice(j, j + step)
+def _late_columns(ensemble: PathEnsemble, transient: TransientSolution, first: int):
+    """X over columns ``first``.. of the ensemble, one column at a time from the last back."""
+    for j in reversed(range(first, len(ensemble.times))):
+        cols = slice(j, j + 1)
         part = replace(ensemble, times=ensemble.times[cols], fundamentals=ensemble.fundamentals[:, cols])
         yield exchange_paths(part, transient).ravel(order="K")
 
@@ -328,6 +339,36 @@ def _count(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.histogram(x, len(edges) - 1, (edges[0], edges[-1]))[0]
 
 
+def _bin_table(xb: np.ndarray, w: float, edges: np.ndarray, observed: bool) -> np.ndarray:
+    """np.histogram's bin of every value in each f-cell, from cell boundary values ``xb``.
+
+    Entry c is the bin counted from 1 (0 below the range, n_bins + 1 above
+    it; the last bin is closed) of every X in [xb[c - 1] - w, xb[c + 2] + w],
+    that interval clipped to the edges where the range is ``observed`` and
+    so holds every value, or n_bins + 2 where the interval crosses an edge
+    and the cell's values need exact X.  Max f may index one past the last
+    cell, which entry _CELLS repeats.
+    """
+    c = np.minimum(np.arange(_CELLS + 1), _CELLS - 1)
+    lo_x = xb[np.maximum(c - 1, 0)] - w
+    hi_x = xb[np.minimum(c + 2, _CELLS)] + w
+    if observed:  # every value lies within the edges
+        np.maximum(lo_x, edges[0], out=lo_x)
+        np.minimum(hi_x, edges[-1], out=hi_x)
+    table, hi_bin = (np.searchsorted(edges[:-1], x, "right") + (x > edges[-1]) for x in (lo_x, hi_x))
+    table[table != hi_bin] = len(edges) + 1
+    return table
+
+
+def _binned_by_table(slabs, table: np.ndarray, fmin: float, scale: float, counts: np.ndarray):
+    """Add each slab's values that ``table`` decides to ``counts``; yield the others, slab by slab."""
+    n_bins = len(counts)
+    for s in slabs:
+        slot = table[((s - fmin) * scale).astype(np.intp)]
+        counts += np.bincount(slot.ravel(), minlength=n_bins + 1)[1 : n_bins + 1]
+        yield s[slot == n_bins + 2]
+
+
 def exchange_density(
     ensemble: PathEnsemble,
     transient: TransientSolution,
@@ -350,8 +391,12 @@ def exchange_density(
     spans X_S at min and max f, the other stationary values within two
     cells of them (all of them where the table cannot decide), and the
     late columns, which it keeps until it is known.  Work goes in slabs of
-    ``_XS_SLAB`` values, and stationary values are evaluated in batches of
-    up to as many; no temporary is larger but a late column's sine basis
+    ``_XS_SLAB`` values.  The stationary values the range needs are
+    evaluated in batches of up to as many, the undecided ones in batches of
+    up to ``_UNDECIDED_BATCH`` (a slab goes whole where no cell is decided).
+    The late columns are mapped one at a time from the horizon back, so the
+    widest sine basis, the last column's, is built before any late value is
+    kept.  No temporary is larger than a slab but one late column's basis
     and the late values an observed range keeps.
     """
     value_range = _checked_bins(n_bins, value_range)
@@ -376,7 +421,7 @@ def exchange_density(
         and xb[2] - xb[0] > w
         and xb[-1] - xb[-3] > w
     )
-    late_x = _x_slabs(ensemble, transient, first, step)
+    late_x = _late_columns(ensemble, transient, first)
     if observed:
         # min and max f map to xb[0] and xb[-1]; where the table decides, a value
         # beyond two cells of min f maps above X_S(b_2) - w > X_S(min f)
@@ -389,30 +434,10 @@ def exchange_density(
     edges = np.histogram_bin_edges(xb, n_bins, value_range)
     counts = sum((_count(x, edges) for x in late_x), np.zeros(n_bins, dtype=np.intp))
     del late_x  # the slab loop runs without the kept late values
-    # table[c]: np.histogram's bin of every value in cell c, counted from 1
-    # (0 below the range, n_bins + 1 above it; the last bin is closed), or
-    # n_bins + 2 where the cell needs exact values (every cell where the
-    # table cannot decide); max f may index one past the last cell, which
-    # entry _CELLS repeats
-    c = np.minimum(np.arange(_CELLS + 1), _CELLS - 1)
-    lo_x = xb[np.maximum(c - 1, 0)] - w
-    hi_x = xb[np.minimum(c + 2, _CELLS)] + w
-    if observed:  # every value lies within the edges
-        np.maximum(lo_x, edges[0], out=lo_x)
-        np.minimum(hi_x, edges[-1], out=hi_x)
-    table, hi_bin = (np.searchsorted(edges[:-1], x, "right") + (x > edges[-1]) for x in (lo_x, hi_x))
-    table[(table != hi_bin) | (not decides)] = n_bins + 2
-    del c, lo_x, hi_x, hi_bin  # and without the table's temporaries
-
-    scale = 1.0 / h if decides else 0.0  # undecided: every value indexes cell 0
-
-    def undecided():  # bins each slab's decided values; yields the others
-        for s in slabs:
-            slot = table[((s - fmin) * scale).astype(np.intp)]
-            counts[:] += np.bincount(slot.ravel(), minlength=n_bins + 1)[1 : n_bins + 1]
-            yield s[slot == n_bins + 2]
-
-    for f in _batches(undecided()):  # one evaluation and count per batch
+    undecided = map(np.ravel, slabs)  # every value, where the table cannot decide
+    if decides:
+        undecided = _binned_by_table(slabs, _bin_table(xb, w, edges, observed), fmin, 1.0 / h, counts)
+    for f in _batches(undecided, _UNDECIDED_BATCH):  # one evaluation and count per batch
         counts += _count(eval_stationary(sol, f), edges)
     return _density(counts, edges)
 

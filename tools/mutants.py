@@ -42,14 +42,20 @@ MUTANTS = (
     ("bernoulli-under-law-reflects", "mc.py",
      'if config.intervention == "law":', 'if config.intervention == "law" and not bernoulli:'),
     ("law-clamp-radius-shrunk", "mc.py",
-     "np.clip(pred[idx], -radius, radius)", "np.clip(pred[idx], -0.99 * radius, 0.99 * radius)"),
+     "np.clip(pred, -radius, radius, out=pred)", "np.clip(pred, -0.99 * radius, 0.99 * radius, out=pred)"),
+    ("law-counts-upper-overshoots-only", "mc.py",
+     "np.count_nonzero(np.abs(pred) > radius)", "np.count_nonzero(pred > radius)"),
     ("reflection-folds-once", "mc.py",
      "np.where(m != 2.0 * np.floor(0.5 * m), shift - values, values - shift)",
      "np.where(m == 0.0, values, np.sign(m) * 2.0 * radius - values)"),
     ("mode-tail-bound-1e-9", "mc.py",
      "np.count_nonzero(dropped > 1e-16, axis=1)", "np.count_nonzero(dropped > 1e-9, axis=1)"),
-    ("undecided-table-marks-no-cell-exact", "mc.py",
-     "table[(table != hi_bin) | (not decides)]", "table[table != hi_bin]"),
+    ("table-used-where-it-cannot-decide", "mc.py",
+     "if decides:", "if True:"),
+    ("undecided-batch-full-slab", "mc.py",
+     "_UNDECIDED_BATCH = 1 << 13", "_UNDECIDED_BATCH = 1 << 15"),
+    ("late-columns-from-the-start", "mc.py",
+     "for j in reversed(range(first, len(ensemble.times))):", "for j in range(first, len(ensemble.times)):"),
     ("bin-rule-off-by-one", "mc.py",
      'np.searchsorted(edges[:-1], x, "right")', 'np.searchsorted(edges[1:], x, "right")'),
     ("bin-rule-last-bin-open", "mc.py",
