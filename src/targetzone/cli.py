@@ -199,9 +199,9 @@ def _record(payload: dict):
 def cmd_spectrum(scn: dict, params: ModelParams, threads: int, seed: int | None):
     K = _count(scn, "spectral.K", _DEFAULTS["spectral_K"], 1)
     spec = build_spectrum(params, K)
-    us = np.sqrt(2.0) * spec.eigenvalues * params.f_bar / params.sigma
+    omega = spec.eigenvalues
     rows = [
-        (k + 1, spec.eigenvalues[k], us[k], spec.brackets[k][0], spec.brackets[k][1], spec.regime)
+        (k + 1, omega[k], spec.u[k], spec.brackets[k][0], spec.brackets[k][1], spec.regime)
         for k in range(K)
     ]
     return _table(

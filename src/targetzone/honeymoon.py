@@ -113,7 +113,7 @@ def classify_honeymoon(
     status = "ok"
     W: float | None
     try:
-        W = bisect_newton(g, 0.0, hi)
+        W = bisect_newton(lambda W: (g(W), math.nan), 0.0, hi)
     except NumericalError:
         W = None
         status = "inconclusive"

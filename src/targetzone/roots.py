@@ -2,8 +2,8 @@
 
 Each bracket is one lane of an array.  Every iteration shrinks each live
 bracket on the sign of its residual and moves the lane to its Newton point
-when that lies strictly inside the bracket, else to the midpoint; without
-Newton steps this is bisection.  A scalar bracket is the one-lane case.
+when that lies strictly inside the bracket, else to the midpoint; with NaN
+steps this is bisection.  A scalar bracket is the one-lane case.
 Callers supply analytic brackets, so a missing sign change signals an
 internal bug and raises :class:`BracketError` rather than being retried.
 """
@@ -29,22 +29,21 @@ _ULP4 = 4.0 * 2.2e-16
 
 
 def bisect_newton(func: Callable, lo: float | np.ndarray, hi: float | np.ndarray, *,
-                  newton: bool = False, x0: float | np.ndarray | None = None) -> float | np.ndarray:
+                  x0: float | np.ndarray | None = None) -> float | np.ndarray:
     """Roots of ``func`` in [lo, hi], one per lane, refined until |residual| <= 1e-12.
 
     ``lo`` and ``hi`` are scalars or arrays of one shape; ``func`` maps an
-    array of that shape to the residuals, or with ``newton`` to a pair
-    (residuals, Newton steps).  Iteration starts at ``x0``, by default the
-    midpoints.  A lane whose endpoint is an exact zero returns that
-    endpoint; the others stop on the rules above.  Scalar brackets return a
-    float.  Raises :class:`ConvergenceError` when a lane meets no stop rule
-    within 200 iterations.
+    array of that shape to the pair (residuals, Newton steps), where a NaN
+    step bisects.  Iteration starts at ``x0``, by default the midpoints.  A
+    lane whose endpoint is an exact zero returns that endpoint; the others
+    stop on the rules above.  Scalar brackets return a float.  Raises
+    :class:`ConvergenceError` when a lane meets no stop rule within 200
+    iterations.
     """
-    f = func if newton else lambda x: (func(x), np.nan)  # a NaN step always bisects
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    flo = np.asarray(f(lo)[0], dtype=float)
-    fhi = np.asarray(f(hi)[0], dtype=float)
+    flo = np.asarray(func(lo)[0], dtype=float)
+    fhi = np.asarray(func(hi)[0], dtype=float)
     bad = np.sign(flo) * np.sign(fhi) > 0.0  # signs: a product of residuals may under- or overflow
     if bad.any():
         i = np.flatnonzero(bad)[0]
@@ -56,7 +55,7 @@ def bisect_newton(func: Callable, lo: float | np.ndarray, hi: float | np.ndarray
     x = 0.5 * (a + b) if x0 is None else np.asarray(x0, dtype=float)
     live = (flo != 0.0) & (fhi != 0.0)
     for _ in range(_MAX_ITER):
-        fx, dx = f(x)
+        fx, dx = func(x)
         tol = np.abs(x) * _ULP4  # |x| scaled last: 4 |x| may overflow
         live &= ~((np.abs(fx) <= _FTOL) | ((b - a) <= tol))
         if not live.any():

@@ -67,18 +67,23 @@ def spread_coefficient(params: ModelParams) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Ordered eigenvalues Omega_1 < Omega_2 < ... with regime metadata.
+    """Ordered roots u_1 < u_2 < ... of u*cot(u) = c as solved, with regime metadata.
 
     ``brackets`` stores the u-interval each root was extracted from.
     """
 
     params: ModelParams
-    eigenvalues: np.ndarray
+    u: np.ndarray
     brackets: tuple[tuple[float, float], ...]
     regime: str  # "diffusive" | "shifted"
 
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """Omega_k = sigma u_k / (sqrt(2) f_bar), recomputed on each access."""
+        return self.params.sigma / (math.sqrt(2.0) * self.params.f_bar) * self.u
+
     def __len__(self) -> int:
-        return len(self.eigenvalues)
+        return len(self.u)
 
 
 @dataclass(frozen=True)
@@ -143,18 +148,17 @@ def _u_roots(c: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
         return u * co / s - c, (c * s - u * co) / ((1.0 - c) * co - u * s)
 
     with np.errstate(divide="ignore", invalid="ignore"):  # h' = 0 gives no Newton step
-        return bisect_newton(g_step, lo, hi, newton=True, x0=np.clip(u0, lo, hi)), lo, hi
+        return bisect_newton(g_step, lo, hi, x0=np.clip(u0, lo, hi)), lo, hi
 
 
 def build_spectrum(params: ModelParams, K: int) -> Spectrum:
     """First ``K`` eigenvalues with their extraction brackets; c above 9e12 is refused."""
     _check_count(K, "spectrum size K", 1)
     c = spread_coefficient(params)
-    scale = params.sigma / (math.sqrt(2.0) * params.f_bar)
     u, lo, hi = _u_roots(np.full(K, c), np.arange(1, K + 1))
     return Spectrum(
         params=params,
-        eigenvalues=scale * u,
+        u=u,
         brackets=tuple(zip(lo.tolist(), hi.tolist())),
         regime="shifted" if c > 1.0 else "diffusive",
     )

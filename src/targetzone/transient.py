@@ -4,9 +4,10 @@ The full rate is X(t, f) = X*(T - t, f) + X_S(f), where the transient
 part decays mode by mode:
 
     X*(tau, f) = (1 / cosh(beta f)) * sum_k c_k
-                 * exp[-(Omega_k^2 + rho) tau] * sin(sqrt(2) Omega_k f / sigma).
+                 * exp[-(sigma^2 u_k^2 / (2 f_bar^2) + rho) tau] * sin(u_k f / f_bar),
 
-The coefficients are the orthogonal projection
+with u_k the roots of u cot(u) = beta f_bar tanh(beta f_bar) that the
+spectrum stores.  The coefficients are the orthogonal projection
 
     c_k = -<X_S cosh(beta f), psi_k> / <psi_k, psi_k>,   psi_k = sin(u_k f / f_bar),
 
@@ -29,7 +30,6 @@ one solution twice on one grid, so the slot speeds up no CLI run.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,16 +69,11 @@ class TransientSolution:
         return self.spectrum.eigenvalues[: len(self.coeffs)] ** 2 + self.spectrum.params.rho()
 
 
-def _u_values(spectrum: Spectrum, k: int) -> np.ndarray:
-    p = spectrum.params
-    return math.sqrt(2.0) * spectrum.eigenvalues[:k] * p.f_bar / p.sigma
-
-
 def build_transient(params: ModelParams, K: int = 50) -> TransientSolution:
     """Spectrum, smooth-pasted X_S and all K coefficients of -X_S, from one ``params``."""
     spectrum = build_spectrum(params, K)
     sol = solve_smooth_pasting(params)
-    us = _u_values(spectrum, K)
+    us = spectrum.u
     # closed-form L2 norm of each mode: integral of sin(u f / f_bar)^2 over the band
     norms = params.f_bar * (1.0 - np.sin(2.0 * us) / (2.0 * us))
     coeffs = -_sine_moments(sol, us) / norms
@@ -96,7 +91,7 @@ def _sine_basis(ts: TransientSolution, arr: np.ndarray) -> np.ndarray:
     basis = ts._slot.pop(key, None)
     if basis is None:
         ts._slot.clear()
-        basis = np.multiply.outer(arr, _u_values(ts.spectrum, len(ts.coeffs)) / ts.spectrum.params.f_bar)
+        basis = np.multiply.outer(arr, ts.spectrum.u[: len(ts.coeffs)] / ts.spectrum.params.f_bar)
         np.sin(basis, out=basis)
         basis.flags.writeable = False
         ts._slot[key] = basis

@@ -14,6 +14,7 @@ from targetzone import (
     ModelParams,
     SimConfig,
     ValidationError,
+    build_spectrum,
     build_transient,
     estimate_density,
     exchange_density,
@@ -83,6 +84,16 @@ def test_spectrum_csv_columns(tmp_path):
     assert lines[0] == "k,omega,u,bracket_lo,bracket_hi,regime"
     assert len(lines) == 13
     assert lines[1].endswith("diffusive")
+
+
+def test_spectrum_columns_print_the_stored_roots(tmp_path):
+    # u is the root as solved, never u mapped back from omega
+    scn = SCENARIOS / "eigenvalue_jump.json"
+    out = run_command("spectrum", scn, tmp_path / "j.csv", fmt="csv")
+    rows = list(csv.reader(out.read_text().splitlines()))[1:]
+    spec = build_spectrum(ModelParams(**load_scenario(scn)["model"]), 240)
+    assert [r[1] for r in rows] == [format(w, ".17g") for w in spec.eigenvalues]
+    assert [r[2] for r in rows] == [format(u, ".17g") for u in spec.u]
 
 
 def test_gaussian_spectrum_evenly_spaced(tmp_path):

@@ -141,9 +141,13 @@ SPECTRUM_CASES = [
 
 @pytest.mark.parametrize("p", SPECTRUM_CASES, ids=lambda p: f"s{p.sigma}-b{p.beta:.17g}")
 def test_spectrum_equals_scalar_reference(p):
+    # the spectrum keeps the roots as solved and derives Omega from them
     spec = build_spectrum(p, 240)
-    u, brackets = scalar_roots(spread_coefficient(p), 240)
-    assert np.array_equal(spec.eigenvalues, p.sigma / (math.sqrt(2.0) * p.f_bar) * u)
+    c = spread_coefficient(p)
+    u, brackets = scalar_roots(c, 240)
+    assert np.array_equal(spec.u, u)
+    assert np.array_equal(spec.u, _u_roots(np.full(240, c), np.arange(1, 241))[0])
+    assert np.array_equal(spec.eigenvalues, p.sigma / (math.sqrt(2.0) * p.f_bar) * spec.u)
     assert spec.brackets == brackets
 
 
@@ -245,15 +249,15 @@ def test_regime_scan_refuses_what_validate_refuses(grid):
 def test_bracket_error_when_any_lane_lacks_sign_change():
     target = np.array([0.5, 5.0, 1.5])
     with pytest.raises(BracketError, match="1 of 3"):
-        bisect_newton(lambda x: x - target, np.zeros(3), np.full(3, 2.0))
+        bisect_newton(lambda x: (x - target, math.nan), np.zeros(3), np.full(3, 2.0))
 
 
 def test_scalar_call_returns_python_float():
     f = lambda x: (x * x - 2.0, (2.0 - x * x) / (2.0 * x))
-    x = bisect_newton(f, 1.0, 2.0, newton=True)
+    x = bisect_newton(f, 1.0, 2.0)
     assert type(x) is float
     assert x == scalar_rtsafe(f, 1.0, 2.0)
-    assert type(bisect_newton(lambda x: x * x - 2.0, 1.0, 2.0)) is float
+    assert type(bisect_newton(lambda x: (x * x - 2.0, math.nan), 1.0, 2.0)) is float
 
 
 def test_lanes_equal_their_one_lane_calls_and_zero_endpoints_return():
@@ -267,10 +271,10 @@ def test_lanes_equal_their_one_lane_calls_and_zero_endpoints_return():
         with np.errstate(divide="ignore", invalid="ignore"):
             return x * x * x - t, (t - x * x * x) / (3.0 * x * x)
 
-    u = bisect_newton(lambda x: cube(x, t), lo, hi, newton=True, x0=u0)
+    u = bisect_newton(lambda x: cube(x, t), lo, hi, x0=u0)
     assert u[0] == 0.0 and u[3] == 2.0
     for i in range(len(t)):
-        one = bisect_newton(lambda x: cube(x, t[i]), lo[i], hi[i], newton=True, x0=u0[i])
+        one = bisect_newton(lambda x: cube(x, t[i]), lo[i], hi[i], x0=u0[i])
         assert u[i] == one
         assert u[i] == scalar_rtsafe(lambda x: cube(x, t[i]), lo[i], hi[i], u0[i])
 
@@ -279,7 +283,7 @@ def test_newton_steps_that_leave_the_bracket_bisect_instead():
     # Newton on atan from 1.5 overshoots to -1.69 and then diverges; every
     # step outside the bracket must give way to the midpoint
     f = lambda x: (np.arctan(x), -np.arctan(x) * (1.0 + x * x))
-    x = bisect_newton(f, -1.0, 2.0, newton=True, x0=1.5)
+    x = bisect_newton(f, -1.0, 2.0, x0=1.5)
     assert abs(x) <= 1e-12
     assert x == scalar_rtsafe(f, np.float64(-1.0), np.float64(2.0), np.float64(1.5))
 
@@ -290,7 +294,7 @@ def test_plain_bisection_equals_scalar_reference():
     t = np.array([0.0, 0.3, 2.0, 8.0, 5.5, 1e-300])
     lo = np.array([0.0, 0.0, 1.0, 1.0, -1.0, 0.0])
     hi = np.array([1.0, 1.0, 2.0, 2.0, 3.0, 1.0])
-    u = bisect_newton(lambda x: x * x * x - t, lo, hi)
+    u = bisect_newton(lambda x: (x * x * x - t, math.nan), lo, hi)
     for i in range(len(t)):
         assert u[i] == scalar_bisect_newton(lambda x: x * x * x - t[i], lo[i], hi[i])
 
@@ -299,13 +303,13 @@ def test_sign_test_survives_residuals_that_under_or_overflow():
     # f(lo) * f(x) rounds to 0 when f(lo) is the least subnormal, and to inf
     # when both are huge; the bisection compares signs, never the product.
     tiny_lo = lambda x: np.where(x == 0.0, -5e-324, x - 1.5)
-    assert bisect_newton(tiny_lo, 0.0, 2.0) == pytest.approx(1.5, rel=0.0, abs=1e-12)
+    assert bisect_newton(lambda x: (tiny_lo(x), math.nan), 0.0, 2.0) == pytest.approx(1.5, rel=0.0, abs=1e-12)
     huge = lambda x: (x - 1.5) * 1e300
-    assert bisect_newton(huge, 0.0, 2.0) == 1.5
+    assert bisect_newton(lambda x: (huge(x), math.nan), 0.0, 2.0) == 1.5
 
 
 def test_lane_still_open_after_the_bisection_budget_raises():
     # 200 halvings of [0, 1e70] leave a bracket ~1e10 wide around the root 1,
     # where neither |f| <= 1e-12 nor the 4-ulp width rule holds
     with pytest.raises(ConvergenceError, match="1 of 1"):
-        bisect_newton(lambda x: x - 1.0, 0.0, 1e70)
+        bisect_newton(lambda x: (x - 1.0, math.nan), 0.0, 1e70)

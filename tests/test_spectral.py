@@ -246,7 +246,7 @@ def test_empty_spectra_refused():
                        (build_transient, 2.5)):
         with pytest.raises(DomainError, match="K must be an integer"):
             build(REF, bad)
-    empty = dataclasses.replace(build_spectrum(REF, 1), eigenvalues=np.empty(0), brackets=())
+    empty = dataclasses.replace(build_spectrum(REF, 1), u=np.empty(0), brackets=())
     with pytest.raises(DomainError, match="nonempty spectrum"):
         relaxation_time(empty)
 

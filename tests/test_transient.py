@@ -22,6 +22,7 @@ from targetzone import (
     uniform_grid,
 )
 from targetzone import transient
+from targetzone.stationary import _sine_moments
 
 REF = ModelParams(alpha=0.8, beta=1.0, sigma=1.0, f_bar=0.1, horizon_T=3.0)
 
@@ -70,6 +71,10 @@ def test_closed_form_coefficients_match_fixed_node_sum(sigma, share):
     assert ts.spectrum.regime == ("shifted" if share > 1.0 else "diffusive")
     ref = reference_coeffs(ts.stationary, ts.spectrum, panels=400)
     assert np.abs(ts.coeffs - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+    # the closed form projects onto the spectrum's own roots, not u mapped back from Omega
+    us = ts.spectrum.u
+    norms = p.f_bar * (1.0 - np.sin(2.0 * us) / (2.0 * us))
+    assert np.array_equal(ts.coeffs, -_sine_moments(ts.stationary, us) / norms)
 
 
 def test_stiff_projection_matches_high_precision():

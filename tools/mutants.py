@@ -89,12 +89,17 @@ MUTANTS = (
     ("spectrum-takes-fractional-K", "spectral.py",
      '_check_count(K, "spectrum size K", 1)\n    c = spread_coefficient(params)',
      '_check_count(int(K), "spectrum size K", 1)\n    c = spread_coefficient(params)'),
+    ("omega-scale-without-sqrt2", "spectral.py",
+     "self.params.sigma / (math.sqrt(2.0) * self.params.f_bar) * self.u",
+     "self.params.sigma / self.params.f_bar * self.u"),
     ("newton-step-taken-outside-bracket", "roots.py",
      "np.where((a < x_new) & (x_new < b), x_new,", "np.where(np.isfinite(x_new), x_new,"),
     ("bracket-side-by-wrong-sign", "roots.py",
      "left = live & ((fa < 0.0) != (fx < 0.0))", "left = live & ((fa < 0.0) == (fx < 0.0))"),
     ("newton-stop-at-1e-6-relative", "roots.py",
      "small = np.abs(dx) <= tol", "small = np.abs(dx) <= np.abs(x) * 1e-6"),
+    ("honeymoon-step-zero", "honeymoon.py",
+     "(g(W), math.nan)", "(g(W), 0.0)"),
     ("transient-decay-from-t", "transient.py",
      "np.exp(-rates * (p.horizon_T - t))", "np.exp(-rates * t)"),
     ("sine-basis-out-of-place", "transient.py",
