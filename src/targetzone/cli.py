@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -157,7 +156,9 @@ def _fmt(x: float) -> str:
 
 def _write_atomic(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tz-", suffix=".tmp")
+    # created like any new file, mode 0o666 less the umask, under a name no other process uses
+    tmp = path.parent / f".tz-{os.getpid()}-{path.name}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

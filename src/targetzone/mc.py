@@ -35,10 +35,11 @@ the same seed.
 where X = X_S(f), a lookup table over 2^14 uniform f-cells bins f, and
 every value in a cell it leaves undecided (all of them where X_S is not
 strictly increasing) is mapped once, in batches of up to 2^13 values
-gathered from slabs of about 2^15.  Late columns are mapped one at a
-time from the horizon back: the last column keeps the most transient
-modes, so its sine basis, the widest, is built before an observed range
-has kept any late value.
+gathered from slabs of about 2^15.  Late columns, those where the
+transient's mode cut (``transient._kept_modes``) keeps any mode, are
+mapped one at a time from the horizon back: the last column keeps the
+most modes, so its sine basis, the widest, is built before an observed
+range has kept any late value.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ import numpy as np
 from .errors import DomainError
 from .params import ModelParams, RngStream, _check_count
 from .stationary import _eval_error_bound, eval_stationary
-from .transient import TransientSolution, eval_transient
+from .transient import TransientSolution, _kept_modes, eval_transient
 
 __all__ = [
     "SimConfig",
@@ -255,22 +256,6 @@ def simulate(config: SimConfig, *, threads: int = 1) -> PathEnsemble:
     )
 
 
-def _kept_modes(transient: TransientSolution, times: np.ndarray) -> np.ndarray:
-    """Modes each time slice evaluates (``times`` at most the horizon).
-
-    Mode k is bounded by a_k = |c_k| exp(-(Omega_k^2 + rho)(T - t)), since
-    |sin| / cosh(beta f) <= 1; a slice keeps the shortest prefix of modes
-    whose dropped bounds sum to at most 1e-16.
-    """
-    p = transient.spectrum.params
-    bounds = np.abs(transient.coeffs) * np.exp(
-        -np.multiply.outer(p.horizon_T - times, transient.decay_rates())
-    )
-    # dropped[j, k]: bound of what modes k.. add to slice j
-    dropped = np.cumsum(bounds[:, ::-1], axis=1)[:, ::-1]
-    return np.count_nonzero(dropped > 1e-16, axis=1)
-
-
 def _shared_params(ensemble: PathEnsemble, transient: TransientSolution) -> ModelParams:
     """The parameters both the ensemble and the transient were built with."""
     if ensemble.config.params != transient.spectrum.params:
@@ -281,11 +266,10 @@ def _shared_params(ensemble: PathEnsemble, transient: TransientSolution) -> Mode
 def exchange_paths(ensemble: PathEnsemble, transient: TransientSolution) -> np.ndarray:
     """Exchange-rate paths X(t, f_t) = X*(T - t, f_t) + X_S(f_t).
 
-    Each time slice evaluates only the shortest prefix of modes whose
-    dropped bounds |c_k| exp(-(Omega_k^2 + rho)(T - t)) sum to at most
-    1e-16; for fast expectation updating that prefix is empty, and the
-    transient skipped, on every slice except the last few before the
-    horizon.
+    Each time slice sums only the transient's kept modes (see
+    ``transient._kept_modes``); for fast expectation updating there are
+    none, and the transient is skipped, on every slice except the last few
+    before the horizon.
     """
     p = _shared_params(ensemble, transient)
     rows = ensemble.fundamentals.T
@@ -295,10 +279,10 @@ def exchange_paths(ensemble: PathEnsemble, transient: TransientSolution) -> np.n
     for j in range(0, len(rows), slab):
         out[j : j + slab] = eval_stationary(transient.stationary, rows[j : j + slab])
     times = np.minimum(ensemble.times, p.horizon_T)
-    kept = _kept_modes(transient, times)
-    for j in np.flatnonzero(kept):
-        view = replace(transient, coeffs=transient.coeffs[: kept[j]])
-        out[j] += eval_transient(view, float(times[j]), rows[j])
+    for j in np.flatnonzero(_kept_modes(transient, times)):
+        out[j] += eval_transient(transient, float(times[j]), rows[j])
+    # no later call maps these columns again: keep no basis of theirs alive past this one
+    transient._slot.clear()
     return out.T
 
 

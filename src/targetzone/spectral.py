@@ -65,6 +65,11 @@ def spread_coefficient(params: ModelParams) -> float:
     return params.beta * params.f_bar * math.tanh(params.beta * params.f_bar)
 
 
+def _omega_scale(params: ModelParams) -> float:
+    """sigma / (sqrt(2) f_bar), which takes a root u_k to Omega_k."""
+    return params.sigma / (math.sqrt(2.0) * params.f_bar)
+
+
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """Ordered roots u_1 < u_2 < ... of u*cot(u) = c as solved, with regime metadata.
@@ -80,7 +85,7 @@ class Spectrum:
     @property
     def eigenvalues(self) -> np.ndarray:
         """Omega_k = sigma u_k / (sqrt(2) f_bar), recomputed on each access."""
-        return self.params.sigma / (math.sqrt(2.0) * self.params.f_bar) * self.u
+        return _omega_scale(self.params) * self.u
 
     def __len__(self) -> int:
         return len(self.u)
@@ -220,9 +225,8 @@ def regime_scan(
     betas = betas.tolist()
     c = [b * fb * math.tanh(b * fb) for b in betas]
     u, _, _ = _u_roots(np.array(c), np.ones(len(c), dtype=int))
-    scale = params.sigma / (math.sqrt(2.0) * fb)
     rows = []
-    for b, omega1, cb in zip(betas, (scale * u).tolist(), c):
+    for b, omega1, cb in zip(betas, (_omega_scale(params) * u).tolist(), c):
         t_relax = 1.0 / (omega1**2 + (0.5 * b**2 + params.alpha))
         rows.append((b, omega1, t_relax, "shifted" if cb > 1.0 else "diffusive"))
     return rows

@@ -19,13 +19,19 @@ Both inner products are elementary and evaluated in closed form.  A
 spectrum, so ``dataclasses.replace(ts, coeffs=ts.coeffs[:k])`` is the k-mode
 partial sum.
 
-The n x K sine basis sin(u_k f / f_bar) is most of an evaluation's cost, so
-each solution keeps the last basis it built in one private slot: ``eval_full``
-after ``surface`` on one grid builds no second basis.  The slot keys on the
-grid's shape and bytes (a grid changed in place, or whose 0.0 became -0.0, is
-rebuilt).  A hit hands the basis over and leaves the slot empty, so a basis
-is reused at most once and dies with its solution.  No CLI command evaluates
-one solution twice on one grid, so the slot speeds up no CLI run.
+Each time row sums only the modes that can still move it: the shortest
+prefix whose dropped bounds |c_k| exp(-(Omega_k^2 + rho)(T - t)) add up to
+at most 1e-15 sum_k |c_k|, a cut relative to the solution's own size (see
+``_kept_modes``).  The Monte Carlo skips the transient where it keeps none.
+
+The n x k sine basis sin(u_k f / f_bar), as wide as the widest row's prefix,
+is most of an evaluation's cost, so each solution keeps the last basis it
+built in one private slot: ``eval_full`` after ``surface`` on one grid
+builds no second basis.  The slot keys on the width and the grid's shape and
+bytes (a grid changed in place, or whose 0.0 became -0.0, is rebuilt).  A
+hit hands the basis over and leaves the slot empty, so a basis is reused at
+most once and dies with its solution.  No CLI command evaluates one
+solution twice on one grid, so the slot speeds up no CLI run.
 """
 
 from __future__ import annotations
@@ -61,7 +67,7 @@ class TransientSolution:
     spectrum: Spectrum
     coeffs: np.ndarray
     stationary: StationarySolution
-    # {(shape, bytes) of a grid: its basis}, at most one entry; see _sine_basis
+    # {(width, shape, bytes) of a grid: its basis}, at most one entry; see _sine_basis
     _slot: dict = field(default_factory=dict, init=False, repr=False)
 
     def decay_rates(self) -> np.ndarray:
@@ -80,18 +86,38 @@ def build_transient(params: ModelParams, K: int = 50) -> TransientSolution:
     return TransientSolution(spectrum=spectrum, coeffs=coeffs, stationary=sol)
 
 
-def _sine_basis(ts: TransientSolution, arr: np.ndarray) -> np.ndarray:
-    """The read-only n x K basis sin(u_k f / f_bar), taken from ``ts``'s slot when ``arr`` matches its key.
+def _kept_modes(ts: TransientSolution, times: np.ndarray) -> np.ndarray:
+    """Modes the row X*(T - t, .) sums, for each t of ``times`` (at most the horizon).
 
-    A hit empties the slot.  On a miss the old basis is let go before the new one fills
-    one buffer in place (a second buffer, or the old basis kept through the build, costs
-    page faults and RSS), and the new one is kept for the next call.
+    Mode k is bounded by a_k = |c_k| exp(-(Omega_k^2 + rho)(T - t)), since
+    |sin| / cosh(beta f) <= 1; a row keeps the shortest prefix of modes whose
+    dropped bounds sum to at most 1e-15 sum_k |c_k|.  That sum is the
+    solution's own scale: it bounds |X*(0, .)|, which is |X_S| up to
+    truncation, so the cut is relative at every f_bar.
     """
-    key = (arr.shape, arr.tobytes())
+    amps = np.abs(ts.coeffs)
+    bounds = amps * np.exp(-np.multiply.outer(ts.spectrum.params.horizon_T - times, ts.decay_rates()))
+    # dropped[j, k]: bound of what modes k.. add to row j
+    dropped = np.cumsum(bounds[:, ::-1], axis=1)[:, ::-1]
+    # row by row: count_nonzero(axis=1) sums a bool array, whose code no other
+    # transient evaluation loads (64 kB more resident memory in a process)
+    return np.array([np.count_nonzero(row) for row in dropped > 1e-15 * amps.sum()], dtype=np.intp)
+
+
+def _sine_basis(ts: TransientSolution, arr: np.ndarray, width: int | None = None) -> np.ndarray:
+    """The read-only basis sin(u_k f / f_bar) over ``arr`` and the first ``width`` modes (default all).
+
+    It is taken from ``ts``'s slot when ``width`` and ``arr`` match its key; a hit
+    empties the slot.  On a miss the old basis is let go before the new one fills
+    one buffer in place (a second buffer, or the old basis kept through the build,
+    costs page faults and RSS), and the new one is kept for the next call.
+    """
+    width = len(ts.coeffs) if width is None else width
+    key = (width, arr.shape, arr.tobytes())
     basis = ts._slot.pop(key, None)
     if basis is None:
         ts._slot.clear()
-        basis = np.multiply.outer(arr, ts.spectrum.u[: len(ts.coeffs)] / ts.spectrum.params.f_bar)
+        basis = np.multiply.outer(arr, ts.spectrum.u[:width] / ts.spectrum.params.f_bar)
         np.sin(basis, out=basis)
         basis.flags.writeable = False
         ts._slot[key] = basis
@@ -101,17 +127,21 @@ def _sine_basis(ts: TransientSolution, arr: np.ndarray) -> np.ndarray:
 def _transient_rows(ts: TransientSolution, t_grid, f):
     """Check every time and every f, then return the rows X*(T - t, f), one per t.
 
-    The basis and cosh(beta f) are built once, and each row's own product rounds as a one-row call.
+    Each row sums only its ``_kept_modes``, counted before the basis exists so that no
+    times x K array lives beside it.  The basis, as wide as the widest row needs, and
+    cosh(beta f) are built once, and each row's own product rounds as a one-row call.
     """
     p = ts.spectrum.params
     times = np.asarray(t_grid, dtype=float)
     if not np.all((0.0 <= times) & (times <= p.horizon_T * (1.0 + 1e-12))):
         raise DomainError("time outside [0, horizon_T]")
     arr = _check_band(ts.stationary, f)
-    basis = _sine_basis(ts, arr)
+    kept = _kept_modes(ts, times)
+    basis = _sine_basis(ts, arr, int(kept.max(initial=0)))
     damp = np.cosh(p.beta * arr)
     rates = ts.decay_rates()
-    return ((basis @ (np.exp(-rates * (p.horizon_T - t)) * ts.coeffs)) / damp for t in times)
+    return ((basis[..., :k] @ (np.exp(-rates[:k] * (p.horizon_T - t)) * ts.coeffs[:k])) / damp
+            for t, k in zip(times, kept))
 
 
 def eval_transient(ts: TransientSolution, t: float, f):

@@ -239,6 +239,20 @@ def test_failed_write_leaves_no_temporary_file(tmp_path, monkeypatch):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_output_mode_follows_the_umask(tmp_path, umask):
+    # created as 0o666 less the umask, like any new file; no temporary file is left
+    scn = write_scenario(tmp_path, "ok.json", {"model": {"alpha": 0.8}})
+    out = tmp_path / "out"
+    old = os.umask(umask)
+    try:
+        path = run_command("spectrum", scn, out / "s.csv")
+    finally:
+        os.umask(old)
+    assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+    assert [p.name for p in out.iterdir()] == ["s.csv"]
+
+
 def test_module_runs_as_a_script(tmp_path):
     out = tmp_path / "s.csv"
     argv = ["-m", "targetzone.cli", "spectrum", "--config", str(SCENARIOS / "spectrum_narrow.json"),

@@ -6,6 +6,7 @@ import weakref
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from targetzone import (
     DomainError,
@@ -304,8 +305,8 @@ def traced_bases(monkeypatch):
     """A list that gets a weak reference to every basis ``_sine_basis`` returns."""
     refs, build = [], transient._sine_basis
 
-    def traced(ts, arr):
-        basis = build(ts, arr)
+    def traced(*args):
+        basis = build(*args)
         refs.append(weakref.ref(basis))
         return basis
 
@@ -332,6 +333,47 @@ def test_sine_basis_handed_over_on_a_hit(monkeypatch):
     eval_full(ts, REF.horizon_T, fg)
     assert len(refs) == 2
     assert refs[0]() is None and refs[1]() is None
+
+
+def full_transient(ts, t, f):
+    """X*(T - t, f) summed over all K modes, with no mode cut."""
+    p = ts.spectrum.params
+    basis = np.sin(np.multiply.outer(f, ts.spectrum.u / p.f_bar))
+    return basis @ (np.exp(-ts.decay_rates() * (p.horizon_T - t)) * ts.coeffs) / np.cosh(p.beta * f)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    log_f_bar=st.floats(-4.0, 1.0),
+    shifted=st.booleans(),
+    sigma=st.sampled_from([0.1, 1.0]),
+    log_tau=st.floats(-9.0, 0.0),
+)
+@example(log_f_bar=-4.0, shifted=False, sigma=1.0, log_tau=-8.0)
+def test_mode_cut_drops_at_most_its_share_of_the_solution(log_f_bar, shifted, sigma, log_tau):
+    # f_bar in [1e-4, 10], both regimes: each row's truncated sum is within
+    # 1e-15 sum_k |c_k| of the all-K sum, plus rounding (a few ulps of that
+    # scale for the two sums; surface also adds X_S, an ulp of |X| each), and
+    # every row keeps the shortest prefix that meets the cut.  Before the cut
+    # was relative, f_bar 1e-4 dropped 1.7e-5 of max |X_S|
+    base = ModelParams(alpha=0.8, beta=0.0, sigma=sigma, f_bar=10.0**log_f_bar, horizon_T=1.0)
+    p = dataclasses.replace(base, beta=(2.0 if shifted else 0.5) * regime_threshold(base))
+    ts = build_transient(p, K=200)
+    fg = uniform_grid(p, 101)
+    scale = float(np.sum(np.abs(ts.coeffs)))
+    sums = 1e-15 * scale + 4.0 * np.finfo(float).eps * scale
+    t = 1.0 - 10.0**log_tau
+    assert np.abs(eval_transient(ts, t, fg) - full_transient(ts, t, fg)).max() <= sums
+    times = np.append(1.0 - np.logspace(-9.0, 0.0, 10), [t, 1.0])
+    xs = eval_stationary(ts.stationary, fg)
+    for row, t_row in zip(surface(ts, times, fg), times):
+        ref = xs + full_transient(ts, t_row, fg)
+        assert np.abs(row - ref).max() <= sums + np.finfo(float).eps * np.abs(ref).max(), t_row
+    rates, amps = ts.decay_rates(), np.abs(ts.coeffs)
+    for k, t_row in zip(transient._kept_modes(ts, times), times):
+        bounds = amps * np.exp(-rates * (1.0 - t_row))
+        assert math.fsum(bounds[k:]) <= 1e-15 * scale, t_row
+        assert k == 0 or math.fsum(bounds[k - 1 :]) > 1e-15 * scale, t_row
 
 
 def test_surface_keeps_the_per_row_domain_checks():

@@ -48,8 +48,8 @@ MUTANTS = (
     ("reflection-folds-once", "mc.py",
      "np.where(m != 2.0 * np.floor(0.5 * m), shift - values, values - shift)",
      "np.where(m == 0.0, values, np.sign(m) * 2.0 * radius - values)"),
-    ("mode-tail-bound-1e-9", "mc.py",
-     "np.count_nonzero(dropped > 1e-16, axis=1)", "np.count_nonzero(dropped > 1e-9, axis=1)"),
+    ("late-column-basis-kept", "mc.py",
+     "    transient._slot.clear()\n", ""),
     ("table-used-where-it-cannot-decide", "mc.py",
      "if decides:", "if True:"),
     ("undecided-batch-full-slab", "mc.py",
@@ -90,8 +90,8 @@ MUTANTS = (
      '_check_count(K, "spectrum size K", 1)\n    c = spread_coefficient(params)',
      '_check_count(int(K), "spectrum size K", 1)\n    c = spread_coefficient(params)'),
     ("omega-scale-without-sqrt2", "spectral.py",
-     "self.params.sigma / (math.sqrt(2.0) * self.params.f_bar) * self.u",
-     "self.params.sigma / self.params.f_bar * self.u"),
+     "return params.sigma / (math.sqrt(2.0) * params.f_bar)",
+     "return params.sigma / params.f_bar"),
     ("newton-step-taken-outside-bracket", "roots.py",
      "np.where((a < x_new) & (x_new < b), x_new,", "np.where(np.isfinite(x_new), x_new,"),
     ("bracket-side-by-wrong-sign", "roots.py",
@@ -101,7 +101,13 @@ MUTANTS = (
     ("honeymoon-step-zero", "honeymoon.py",
      "(g(W), math.nan)", "(g(W), 0.0)"),
     ("transient-decay-from-t", "transient.py",
-     "np.exp(-rates * (p.horizon_T - t))", "np.exp(-rates * t)"),
+     "np.exp(-rates[:k] * (p.horizon_T - t))", "np.exp(-rates[:k] * t)"),
+    ("mode-tail-bound-1e-9", "transient.py",
+     "dropped > 1e-15 * amps.sum()", "dropped > 1e-9 * amps.sum()"),
+    ("mode-cut-absolute", "transient.py",
+     "dropped > 1e-15 * amps.sum()", "dropped > 1e-16"),
+    ("row-prefix-one-short", "transient.py",
+     "for t, k in zip(times, kept)", "for t, k in zip(times, np.maximum(kept - 1, 0))"),
     ("sine-basis-out-of-place", "transient.py",
      "np.sin(basis, out=basis)", "basis = np.sin(basis)"),
     ("mode-norms-without-sin2u-term", "transient.py",
@@ -111,7 +117,9 @@ MUTANTS = (
     ("transient-cosh-damping-dropped", "transient.py",
      "damp = np.cosh(p.beta * arr)", "damp = np.ones_like(arr)"),
     ("sine-basis-key-without-bytes", "transient.py",
-     "key = (arr.shape, arr.tobytes())", "key = arr.shape"),
+     "key = (width, arr.shape, arr.tobytes())", "key = (width, arr.shape)"),
+    ("sine-basis-key-without-width", "transient.py",
+     "key = (width, arr.shape, arr.tobytes())", "key = (arr.shape, arr.tobytes())"),
     ("sine-basis-kept-after-a-hit", "transient.py",
      "basis = ts._slot.pop(key, None)", "basis = ts._slot.get(key)"),
 )
