@@ -5,7 +5,8 @@ bracket on the sign of its residual and moves the lane to its Newton point
 when that lies strictly inside the bracket, else to the midpoint; with NaN
 steps this is bisection.  A scalar bracket is the one-lane case.
 Callers supply analytic brackets, so a missing sign change signals an
-internal bug and raises :class:`BracketError` rather than being retried.
+internal bug and raises :class:`NumericalError` ("no sign change in ...")
+rather than being retried.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BracketError, ConvergenceError
+from .errors import NumericalError
 
 __all__ = ["bisect_newton"]
 
@@ -37,8 +38,9 @@ def bisect_newton(func: Callable, lo: float | np.ndarray, hi: float | np.ndarray
     step bisects.  Iteration starts at ``x0``, by default the midpoints.  A
     lane whose endpoint is an exact zero returns that endpoint; the others
     stop on the rules above.  Scalar brackets return a float.  Raises
-    :class:`ConvergenceError` when a lane meets no stop rule within 200
-    iterations.
+    :class:`NumericalError` when a bracket shows no sign change, and when a
+    lane meets no stop rule within 200 iterations ("... brackets open after
+    200 iterations").
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -47,7 +49,7 @@ def bisect_newton(func: Callable, lo: float | np.ndarray, hi: float | np.ndarray
     bad = np.sign(flo) * np.sign(fhi) > 0.0  # signs: a product of residuals may under- or overflow
     if bad.any():
         i = np.flatnonzero(bad)[0]
-        raise BracketError(
+        raise NumericalError(
             f"no sign change in {np.count_nonzero(bad)} of {bad.size} brackets; first "
             f"[{lo.flat[i]!r}, {hi.flat[i]!r}]: f(lo)={flo.flat[i]!r}, f(hi)={fhi.flat[i]!r}"
         )
@@ -74,6 +76,6 @@ def bisect_newton(func: Callable, lo: float | np.ndarray, hi: float | np.ndarray
             break
     else:
         n = np.count_nonzero(live)
-        raise ConvergenceError(f"{n} of {live.size} brackets open after {_MAX_ITER} iterations")
+        raise NumericalError(f"{n} of {live.size} brackets open after {_MAX_ITER} iterations")
     x = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, x))
     return float(x) if x.ndim == 0 else x

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError, NumericalError
 
 __all__ = ["kummer_1f1"]
 
@@ -36,7 +36,7 @@ def _taylor_sum(a: np.ndarray, b, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
             total = np.where(active, total + term, total)
             if not np.isfinite(total).all():
                 i = np.argmin(np.isfinite(total))
-                raise ConvergenceError(
+                raise NumericalError(
                     f"kummer_1f1 series overflowed (a={a[i]}, b={b}, x={x[i]})"
                 )
             peak = np.where(active, np.maximum(peak, np.abs(term)), peak)
@@ -45,7 +45,7 @@ def _taylor_sum(a: np.ndarray, b, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
             if not active.any():
                 return total, peak / np.abs(total)
             prev_small = small
-    raise ConvergenceError(f"kummer_1f1 did not converge in {_MAX_TERMS} terms (b={b})")
+    raise NumericalError(f"kummer_1f1 did not converge in {_MAX_TERMS} terms (b={b})")
 
 
 def kummer_1f1(a: float, b: float, x):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PoleError
+from .errors import DomainError
 from .params import ModelParams, _check_count
 from .roots import bisect_newton
 
@@ -115,8 +115,8 @@ def eigen_residual(omega: float, params: ModelParams) -> float:
     """Residual of the transcendental eigenvalue equation at ``omega``.
 
     Returns (sqrt(2) Omega / sigma) cot(sqrt(2) Omega f_bar / sigma)
-    - beta tanh(beta f_bar).  Raises :class:`PoleError` when the cot
-    argument sits on a multiple of pi.
+    - beta tanh(beta f_bar).  Raises :class:`DomainError` ("cot pole: ...")
+    when the cot argument sits on a multiple of pi.
     """
     if omega <= 0.0:
         raise DomainError("eigen_residual requires omega > 0")
@@ -124,7 +124,7 @@ def eigen_residual(omega: float, params: ModelParams) -> float:
     u = w * params.f_bar
     m = round(u / math.pi)
     if m >= 1 and abs(u - m * math.pi) < 1e-12 * max(1.0, u):
-        raise PoleError(f"cot pole: sqrt(2)*omega*f_bar/sigma = {u} ~ {m}*pi")
+        raise DomainError(f"cot pole: sqrt(2)*omega*f_bar/sigma = {u} ~ {m}*pi")
     return w / math.tan(u) - params.beta * math.tanh(params.beta * params.f_bar)
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SingularSystemError
+from .errors import DomainError, NumericalError
 from .params import ModelParams
 from .specfun import kummer_1f1
 
@@ -187,11 +187,12 @@ def ou_stationary(lambda_speed: float, mu: float, params: ModelParams) -> OUStat
     """Mean-reverting stationary solution via confluent hypergeometrics.
 
     X_S(f) = A 1F1[q, 1/2; z] + B (sqrt(lambda)/sigma)(f-mu)
-             1F1[q + 1/2, 3/2; z] + lambda mu f / (lambda + alpha),
+             1F1[q + 1/2, 3/2; z] + (alpha f + lambda mu) / (lambda + alpha),
 
-    with z = lambda (f-mu)^2 / sigma^2 and q = alpha / (2 lambda).
-    A and B come from smooth pasting at the band edges.  If mu = 0 the
-    particular part vanishes, so A = B = 0 and X_S is identically 0.
+    with z = lambda (f-mu)^2 / sigma^2 and q = alpha / (2 lambda), solves
+    sigma^2/2 X'' - lambda (f - mu) X' - alpha X + alpha f = 0.  A and B
+    come from smooth pasting at the band edges.  If mu = 0 the equation
+    is odd in f, so A = 0 and X_S is odd.
     """
     if not (math.isfinite(lambda_speed) and lambda_speed > 0.0):
         raise DomainError("lambda_speed must be positive and finite")
@@ -204,7 +205,7 @@ def ou_stationary(lambda_speed: float, mu: float, params: ModelParams) -> OUStat
     det = m11 * m22 - m12 * m21
     scale = max(abs(m11), abs(m12), abs(m21), abs(m22), 1.0)
     if abs(det) < 1e-14 * scale * scale:
-        raise SingularSystemError("mean-reverting pasting system is singular")
+        raise NumericalError("mean-reverting pasting system is singular")
     A = (rhs * m22 - m12 * rhs) / det
     B = (m11 * rhs - rhs * m21) / det
     return OUStationary(params, lambda_speed, mu, A, B)
@@ -240,11 +241,11 @@ def _ou_basis_d1(lambda_speed, mu, params, f):
 
 
 def _ou_particular(lambda_speed, mu, params, f):
-    return lambda_speed * mu * f / (lambda_speed + params.alpha)
+    return (params.alpha * f + lambda_speed * mu) / (lambda_speed + params.alpha)
 
 
 def _ou_particular_d1(lambda_speed, mu, params) -> float:
-    return lambda_speed * mu / (lambda_speed + params.alpha)
+    return params.alpha / (lambda_speed + params.alpha)
 
 
 def _check_band(sol: _Stationary, f) -> np.ndarray:

@@ -16,10 +16,9 @@ import numpy as np
 import pytest
 
 from targetzone import (
-    BracketError,
-    ConvergenceError,
     DomainError,
     ModelParams,
+    NumericalError,
     build_spectrum,
     regime_scan,
     regime_threshold,
@@ -41,7 +40,7 @@ def scalar_bisect_newton(func, lo, hi, *, dfunc=None, ftol=1e-12):
     if fhi == 0.0:
         return hi
     if flo * fhi > 0.0:
-        raise BracketError("no sign change")
+        raise NumericalError("no sign change")
     a, b, fa = lo, hi, flo
     x = 0.5 * (a + b)
     for _ in range(200):
@@ -79,7 +78,7 @@ def scalar_rtsafe(func, lo, hi, x0=None):
     if fhi == 0.0:
         return hi
     if flo * fhi > 0.0:
-        raise BracketError("no sign change")
+        raise NumericalError("no sign change")
     a, b, fa = lo, hi, flo
     x = 0.5 * (a + b) if x0 is None else x0
     for _ in range(200):
@@ -97,7 +96,7 @@ def scalar_rtsafe(func, lo, hi, x0=None):
             x = 0.5 * (a + b)
         if small:
             return x
-    raise ConvergenceError("open after 200 iterations")
+    raise NumericalError("open after 200 iterations")
 
 
 def scalar_roots(c, K):
@@ -248,7 +247,7 @@ def test_regime_scan_refuses_what_validate_refuses(grid):
 
 def test_bracket_error_when_any_lane_lacks_sign_change():
     target = np.array([0.5, 5.0, 1.5])
-    with pytest.raises(BracketError, match="1 of 3"):
+    with pytest.raises(NumericalError, match="no sign change in 1 of 3"):
         bisect_newton(lambda x: (x - target, math.nan), np.zeros(3), np.full(3, 2.0))
 
 
@@ -311,5 +310,5 @@ def test_sign_test_survives_residuals_that_under_or_overflow():
 def test_lane_still_open_after_the_bisection_budget_raises():
     # 200 halvings of [0, 1e70] leave a bracket ~1e10 wide around the root 1,
     # where neither |f| <= 1e-12 nor the 4-ulp width rule holds
-    with pytest.raises(ConvergenceError, match="1 of 1"):
+    with pytest.raises(NumericalError, match="1 of 1 brackets open after 200"):
         bisect_newton(lambda x: (x - 1.0, math.nan), 0.0, 1e70)

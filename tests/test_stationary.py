@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from targetzone import (
     DomainError,
     ModelParams,
-    SingularSystemError,
+    NumericalError,
     eval_stationary,
     eval_stationary_derivatives,
     ou_asymptotic_spectrum,
@@ -240,15 +240,36 @@ def test_degenerate_band_is_singular():
     # has a closed form that is exact on this band (see NARROW_BANDS)
     p = ModelParams(alpha=0.8, beta=0.0, sigma=1.0, f_bar=1e-16)
     for mu in (0.0, 0.02):
-        with pytest.raises(SingularSystemError):
+        with pytest.raises(NumericalError, match="singular"):
             ou_stationary(1.0, mu, p)
 
 
 def test_ou_mu_zero_forces_amplitude_zero():
+    # at mu = 0 the equation is odd in f: the even term's amplitude A is 0
+    # and X is odd, but the forcing alpha f keeps X away from 0
     p = ModelParams(alpha=0.8, beta=0.0, sigma=1.0, f_bar=0.1)
     sol = ou_stationary(1.0, 0.0, p)
     assert sol.A == 0.0
-    assert sol.B == 0.0  # the particular part has zero slope, so X is identically 0
+    assert sol.B == pytest.approx(-0.4365, abs=1e-4)
+    grid = np.linspace(0.0, 0.1, 51)
+    x = eval_stationary(sol, grid)
+    assert np.array_equal(eval_stationary(sol, -grid), -x)
+    assert np.abs(x).max() > 1e-4
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1.0, 10.0])
+@pytest.mark.parametrize("mu", [0.0, 0.02])
+def test_ou_satisfies_its_equation_by_finite_differences(lam, mu):
+    # sigma^2/2 X'' - lambda (f - mu) X' - alpha X + alpha f = 0, with X' and
+    # X'' from central differences of eval_stationary (h = 1e-4, |f| <= 0.09)
+    p = ModelParams(alpha=0.8, beta=0.0, sigma=1.0, f_bar=0.1)
+    sol = ou_stationary(lam, mu, p)
+    h = 1e-4
+    f = np.linspace(-0.09, 0.09, 181)
+    x, xp, xm = (eval_stationary(sol, f + d) for d in (0.0, h, -h))
+    res = (0.5 * p.sigma**2 * (xp - 2.0 * x + xm) / h**2
+           - lam * (f - mu) * (xp - xm) / (2.0 * h) + p.alpha * (f - x))
+    assert np.abs(res).max() <= 1e-7
 
 
 def test_ou_smooth_pasting_residual():
@@ -280,8 +301,14 @@ def test_ou_refuses_non_finite_speed_or_centre(bad):
 
 
 def test_ou_small_reversion_close_to_gaussian_shape():
-    p = ModelParams(alpha=0.8, beta=0.0, sigma=1.0, f_bar=0.1)
-    sol_ou = ou_stationary(1e-3, 0.0, p)
-    grid = np.linspace(-0.1, 0.1, 60)
-    diff = np.abs(eval_stationary(sol_ou, grid) - closed_form_gaussian(p, grid)).max()
-    assert diff < 5e-2
+    # as lambda -> 0 the mean reversion vanishes and X tends to the beta = 0
+    # closed form; the gap shrinks like lambda relative to the curve's size
+    for sigma, alpha in ((1.0, 0.8), (0.1, 200.0)):
+        p = ModelParams(alpha=alpha, beta=0.0, sigma=sigma, f_bar=0.1)
+        grid = np.linspace(-0.1, 0.1, 60)
+        gauss = closed_form_gaussian(p, grid)
+        size = np.abs(gauss).max()
+        for lam in (1e-2, 1e-3):
+            for mu in (0.0, 0.02):
+                gap = np.abs(eval_stationary(ou_stationary(lam, mu, p), grid) - gauss).max()
+                assert gap <= 0.5 * lam * size, (sigma, alpha, lam, mu)

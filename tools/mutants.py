@@ -98,6 +98,14 @@ MUTANTS = (
      "left = live & ((fa < 0.0) != (fx < 0.0))", "left = live & ((fa < 0.0) == (fx < 0.0))"),
     ("newton-stop-at-1e-6-relative", "roots.py",
      "small = np.abs(dx) <= tol", "small = np.abs(dx) <= np.abs(x) * 1e-6"),
+    ("bracket-check-off", "roots.py",
+     "if bad.any():", "if False:"),
+    ("ou-particular-lambda-mu", "stationary.py",
+     "return (params.alpha * f + lambda_speed * mu) / (lambda_speed + params.alpha)",
+     "return lambda_speed * mu * f / (lambda_speed + params.alpha)"),
+    ("ou-particular-slope-lambda-mu", "stationary.py",
+     "return params.alpha / (lambda_speed + params.alpha)",
+     "return lambda_speed * mu / (lambda_speed + params.alpha)"),
     ("honeymoon-step-zero", "honeymoon.py",
      "(g(W), math.nan)", "(g(W), 0.0)"),
     ("transient-decay-from-t", "transient.py",
