@@ -95,7 +95,7 @@ def classify_honeymoon(
     """Contact point and whether smooth fitting applies.
 
     W is the root of g on the proven bracket [0, hi] of the module
-    docstring.  Raises :class:`OverflowError` when hi, an upper bound of
+    docstring.  Raises :class:`NumericalError` when hi, an upper bound of
     W, is not a finite double.  The verdict is False when the spectral
     regime has shifted (the first eigenvalue bracket is empty, so pasting
     at the band has no solution).  A root-search failure yields an
@@ -108,7 +108,7 @@ def classify_honeymoon(
 
     g, hi = _contact_problem(params, F, omega)
     if not math.isfinite(hi):
-        raise OverflowError("contact point exceeds the floating range")
+        raise NumericalError("contact point exceeds the floating range")
 
     status = "ok"
     W: float | None

@@ -23,12 +23,13 @@ the natural choice
 against the free-space two-Gaussian-mixture oracle, tanh against the
 closed-form reflected stationary density cosh(beta f)^(2/sigma^2).
 
-Noise comes from one :class:`RngStream` per block of ``BLOCK`` = 256
-paths, keyed by (seed, block index).  Each block draws its paths' normals
-path-major, so path i's noise depends only on (seed, i): not on n_paths,
-not on the thread count.  Ensembles are bit-reproducible, but a seeded
-ensemble differs from the one versions with a stream per path drew at
-the same seed.
+Noise comes from one numpy stream per block of ``BLOCK`` = 256 paths:
+block b draws from ``default_rng(SeedSequence(seed, spawn_key=(b,)))``,
+so equal (seed, b) give equal draws and distinct b independent ones.
+Each block draws its paths' normals path-major, so path i's noise depends
+only on (seed, i): not on n_paths, not on the thread count.  Ensembles
+are bit-reproducible, but a seeded ensemble differs from the one versions
+with a stream per path drew at the same seed.
 
 :func:`exchange_density` equals :func:`estimate_density` of
 :func:`exchange_paths` bit for bit without building X, by one route:
@@ -54,7 +55,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .params import ModelParams, RngStream, _check_count
+from .params import ModelParams, _check_count
 from .stationary import _eval_error_bound, eval_stationary
 from .transient import TransientSolution, _kept_modes, eval_transient
 
@@ -151,13 +152,14 @@ def _fill_block(
 ) -> None:
     """Draw paths [block * BLOCK, ...) from stream (seed, block) into ``buf``.
 
+    The stream is the generator of ``SeedSequence(seed, spawn_key=(block,))``.
     Signs come first and always a full block of them; the normals follow
     path-major, one row of n_steps per path.  Path i's draws are thus the
     same whether its block is full or the partial last one.
     """
     lo = block * BLOCK
     hi = min(lo + BLOCK, buf.shape[1])
-    gen = RngStream(seed, block).generator()
+    gen = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
     if signs is not None:
         signs[lo:hi] = np.where(gen.random(BLOCK)[: hi - lo] < 0.5, 1.0, -1.0)
     buf[1:, lo:hi] = gen.standard_normal((hi - lo, buf.shape[0] - 1)).T

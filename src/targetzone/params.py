@@ -1,8 +1,7 @@
-"""Model parameters, fundamental grids, and random streams.
+"""Model parameters and fundamental grids.
 
-Every other module consumes :class:`ModelParams` and (for simulation) a
-:class:`RngStream`.  All types here are immutable after construction and
-safe to share across threads.  A :class:`ModelParams` holds only values
+Every other module consumes :class:`ModelParams`, which is immutable after
+construction and safe to share across threads.  It holds only values
 inside the model's parameter box: the constructor, and therefore
 ``dataclasses.replace``, refuses any other with :class:`DomainError`, so
 no consumer checks them again.
@@ -20,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["ModelParams", "RngStream", "uniform_grid"]
+__all__ = ["ModelParams", "uniform_grid"]
 
 
 @dataclass(frozen=True)
@@ -76,20 +75,3 @@ def uniform_grid(params: ModelParams, n_points: int) -> np.ndarray:
     _check_count(n_points, "grid size n_points", 2)
     return np.linspace(-params.f_bar, params.f_bar, n_points)
 
-
-@dataclass(frozen=True)
-class RngStream:
-    """Deterministic random stream addressed by (seed, stream_id).
-
-    Identical (seed, stream_id) reproduces identical draws; distinct
-    stream_ids give statistically independent streams.  Monte Carlo uses
-    one stream per fixed block of 256 paths, so results never depend on
-    thread count.
-    """
-
-    seed: int
-    stream_id: int = 0
-
-    def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
-        return np.random.default_rng(ss)

@@ -240,6 +240,7 @@ def ou_asymptotic_spectrum(
     Omega_k = k^2 pi sigma^2 / (8 f_bar^2) + lambda/2 + c0 with
     c0 = lambda^2 (4 f_bar^2 - 6 f_bar mu + 3 mu^2) / (6 sigma^2),
     k = 1..K; error O(1/k^2).  1/Omega_1 estimates the relaxation time.
+    Raises :class:`DomainError` when sigma^2 underflows to 0.
     """
     _check_count(K, "spectrum size K", 1)
     if not (math.isfinite(lambda_speed) and lambda_speed > 0.0):
@@ -247,6 +248,8 @@ def ou_asymptotic_spectrum(
     if not math.isfinite(mu):
         raise DomainError("mu must be finite")
     fb, sg = params.f_bar, params.sigma
+    if sg**2 == 0.0:
+        raise DomainError("sigma too small: sigma^2 underflows to 0")
     c0 = lambda_speed**2 * (4.0 * fb**2 - 6.0 * fb * mu + 3.0 * mu**2) / (6.0 * sg**2)
     k = np.arange(1, K + 1, dtype=float)
     return k**2 * math.pi * sg**2 / (8.0 * fb**2) + 0.5 * lambda_speed + c0

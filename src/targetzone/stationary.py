@@ -171,12 +171,16 @@ def solve_smooth_pasting(params: ModelParams) -> StationarySolution:
         a = -cosh(beta f_bar) X_P'(f_bar)
             / [(r - beta t) + (r + beta t) e^{-2 r f_bar}],
 
-    whose denominator is positive because r > beta.
+    whose denominator is positive because r > beta.  Raises
+    :class:`DomainError` when sigma is so small that sigma^2 underflows to
+    0 or r overflows.
     """
     fb, b = params.f_bar, params.beta
     if b * fb > 700.0:
-        raise OverflowError("smooth-pasting amplitudes exceed the floating range")
-    r = _growth_rate(params)
+        raise NumericalError("smooth-pasting amplitudes exceed the floating range")
+    r = _growth_rate(params) if params.sigma**2 > 0.0 else math.inf
+    if not math.isfinite(r):
+        raise DomainError("sigma too small: r = sqrt(beta^2 + 2 alpha / sigma^2) is not finite")
     t = math.tanh(b * fb)
     slope = (r - b * t) + (r + b * t) * math.exp(-2.0 * r * fb)
     a = -math.cosh(b * fb) * float(_particular_d1(params, fb)) / slope

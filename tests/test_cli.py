@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -212,6 +213,14 @@ def test_cli_exit_codes(tmp_path):
     # beta f_bar = 701: the smooth-pasting amplitudes overflow
     wide = write_scenario(tmp_path, "wide.json", {"model": {"alpha": 0.8, "beta": 1402.0, "f_bar": 0.5}})
     assert main(["stationary", "--config", str(wide), "--out", str(tmp_path / "w")]) == 3
+    # sigma^2 underflows to 0 (1e-300), or 2 alpha / sigma^2 overflows: r is not finite
+    for sigma in (1e-155, 1e-160, 1e-300):
+        for beta in (0.0, 1.0):
+            tiny = write_scenario(tmp_path, "tiny.json",
+                                  {"model": {"alpha": 0.8, "beta": beta, "sigma": sigma, "f_bar": 0.1}})
+            for command in ("stationary", "transient"):
+                argv = [command, "--config", str(tiny), "--out", str(tmp_path / "t")]
+                assert main(argv) == 2, (command, sigma, beta)
     # a valid model whose contact point 1/(rho - beta) lies past the double range
     far = write_scenario(tmp_path, "far.json", {"model": {"alpha": 1e-300, "beta": 1e150},
                                                 "honeymoon": {"F": 0.1}})
@@ -465,3 +474,48 @@ def test_csv_and_json_carry_the_same_data(tmp_path):
             assert [[_cell(c) for c in r] for r in rows] == [
                 [obj[key] for key in header] for obj in doc["rows"]
             ], (command, scn.name)
+
+
+# one field of the reference model at a time, across the accepted box
+BOX_REF = {"alpha": 0.8, "beta": 1.0, "sigma": 1.0, "f_bar": 0.1, "horizon_T": 3.0}
+BOX_VALUES = {
+    "alpha": (1e-300, 1e-30, 1e30, 1e300),
+    "beta": (0.0, 1e-300, 1e4, 1e10, 1e150, 1e300),
+    "sigma": (1e-300, 1e-160, 1e-155, 1e-150, 1e-30, 1e30, 1e150, 1e300),
+    "f_bar": (1e-300, 1e-150, 1e-30, 1e30, 1e150, 1e300),
+    "horizon_T": (1e-300, 1e300),
+}
+BOX_SECTIONS = {
+    "spectral": {"K": 3},
+    "stationary": {"n_points": 5},
+    "transient": {"K": 3, "n_times": 3, "n_points": 5},
+    "ou": {"K": 2, "n_points": 5},
+    "sim": {"n_paths": 20, "dt": 0.01},
+    "density": {"n_bins": 10},
+}
+ANALYTIC = ("spectrum", "stationary", "transient", "feasibility", "regime-scan", "honeymoon", "ou")
+NON_FINITE = re.compile(r"\b(nan|-?inf(inity)?)\b", re.IGNORECASE)
+
+
+# numpy's RuntimeWarnings are printed by the CLI, not raised; what a user gets
+# is the exit code and the numbers, and that is what this test judges
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_exit_codes_over_the_parameter_box(tmp_path):
+    # every command either answers with finite numbers or refuses with exit 2 or 3
+    failures = []
+    for field, values in BOX_VALUES.items():
+        for value in values:
+            for command in (*ANALYTIC, "density", "simulate"):
+                # the Monte Carlo commands run 20 paths of 10 steps: T 0.1, dt 0.01
+                model = {**BOX_REF, **({} if command in ANALYTIC else {"horizon_T": 0.1}), field: value}
+                name = f"{command}-{field}-{value:g}"
+                scn = write_scenario(tmp_path, f"{name}.json", {"model": model, **BOX_SECTIONS})
+                out = tmp_path / f"{name}.out"
+                try:
+                    code = main([command, "--config", str(scn), "--out", str(out)])
+                except Exception as exc:  # an exception escaping main is the failure
+                    failures.append((name, repr(exc)))
+                    continue
+                if code not in (0, 2, 3) or (code == 0 and NON_FINITE.search(out.read_text())):
+                    failures.append((name, code))
+    assert failures == []

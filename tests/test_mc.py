@@ -17,7 +17,6 @@ from targetzone import (
     DensityEstimate,
     DomainError,
     ModelParams,
-    RngStream,
     SimConfig,
     build_transient,
     classify_shape,
@@ -165,14 +164,27 @@ def test_seed_determinism_and_thread_independence():
     assert not np.array_equal(a.fundamentals, d.fundamentals)
 
 
+def test_noise_streams_are_distinct():
+    # blocks 0 and 1 at one seed: 512 normals each, from distinct streams
+    block = targetzone.mc.BLOCK
+    buf = np.empty((3, 2 * block))
+    for k in (0, 1):
+        targetzone.mc._fill_block(123456789, k, buf, None)
+    a, b = buf[1:, :block].ravel(), buf[1:, block:].ravel()
+    assert not np.array_equal(a, b)
+    # crude independence check: correlation compatible with zero
+    assert abs(np.corrcoef(a, b)[0, 1]) < 0.15
+
+
 @pytest.mark.parametrize("drift_mode", ["tanh", "bernoulli"])
 def test_noise_is_per_path_not_per_ensemble(monkeypatch, drift_mode):
     # 300 and 600 paths both end in a partial 256-path block; path i's
     # noise, and so its whole trajectory, depends only on (seed, i)
     streams = []
-    generator = RngStream.generator
-    monkeypatch.setattr(RngStream, "generator",
-                        lambda self: streams.append(self.stream_id) or generator(self))
+    fill_block = targetzone.mc._fill_block
+    monkeypatch.setattr(targetzone.mc, "_fill_block",
+                        lambda seed, block, *args, **kwargs:
+                        streams.append(block) or fill_block(seed, block, *args, **kwargs))
     # beta > 0, so a bernoulli path's sign shows in its fundamentals
     p = ModelParams(alpha=200.0, beta=5.0, sigma=1.0, f_bar=0.1, horizon_T=1.0)
     small = simulate(quiet_config(params=p, drift_mode=drift_mode, n_paths=300, seed=5))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from targetzone import DomainError, ModelParams, RngStream, uniform_grid
+from targetzone import DomainError, ModelParams, uniform_grid
 
 REFERENCE = dict(alpha=0.8, beta=1.0, sigma=1.0, f_bar=0.1, horizon_T=3.0)
 
@@ -95,16 +95,3 @@ def test_grid_rejects_degenerate_size():
         with pytest.raises(DomainError, match="n_points must be an integer >= 2"):
             uniform_grid(ModelParams(alpha=0.8), n_points)
 
-
-def test_rng_stream_determinism():
-    a = RngStream(seed=123456789, stream_id=7).generator().standard_normal(512)
-    b = RngStream(seed=123456789, stream_id=7).generator().standard_normal(512)
-    assert np.array_equal(a, b)
-
-
-def test_rng_streams_are_distinct():
-    a = RngStream(seed=123456789, stream_id=0).generator().standard_normal(512)
-    b = RngStream(seed=123456789, stream_id=1).generator().standard_normal(512)
-    assert not np.array_equal(a, b)
-    # crude independence check: correlation compatible with zero
-    assert abs(np.corrcoef(a, b)[0, 1]) < 0.15

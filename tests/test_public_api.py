@@ -39,7 +39,7 @@ PUBLIC = {
     "honeymoon": ["ContactReport", "classify_honeymoon"],
     "mc": ["DensityEstimate", "PathEnsemble", "SimConfig", "classify_shape",
            "estimate_density", "exchange_density", "exchange_paths", "simulate"],
-    "params": ["ModelParams", "RngStream", "uniform_grid"],
+    "params": ["ModelParams", "uniform_grid"],
     "specfun": ["kummer_1f1"],
     "spectral": ["FeasibilityReport", "Spectrum", "build_spectrum", "eigen_residual",
                  "ou_asymptotic_spectrum", "regime_scan", "regime_threshold",

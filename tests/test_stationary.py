@@ -158,8 +158,15 @@ def test_refusals_of_the_closed_form():
     with pytest.raises(DomainError, match="resonant"):
         solve_smooth_pasting(ModelParams(alpha=1.5, beta=1.0, sigma=2.0, f_bar=0.1))
     # beta f_bar = 701, one past the largest solved
-    with pytest.raises(OverflowError, match="floating range"):
+    with pytest.raises(NumericalError, match="floating range"):
         solve_smooth_pasting(ModelParams(alpha=0.8, beta=1402.0, sigma=1.0, f_bar=0.5))
+    # sigma^2 underflows to 0 (1e-300), or 2 alpha / sigma^2 overflows (1e-155)
+    for sigma in (1e-300, 1e-155):
+        p = ModelParams(alpha=0.8, beta=1.0, sigma=sigma, f_bar=0.1)
+        with pytest.raises(DomainError, match="sigma too small"):
+            solve_smooth_pasting(p)
+    with pytest.raises(DomainError, match="sigma too small"):
+        ou_asymptotic_spectrum(1.0, 0.0, ModelParams(alpha=0.8, sigma=1e-300), 3)
     ou = ou_stationary(1.0, 0.0, FIG_PARAMS[0.0])
     with pytest.raises(DomainError, match="DMPS"):
         stationary_ode_residual(ou, 0.0)

@@ -37,6 +37,8 @@ MUTANTS = (
      "sig_dt = p.sigma * math.sqrt(dt)", "sig_dt = 1.05 * p.sigma * math.sqrt(dt)"),
     ("bernoulli-drift-halved", "mc.py",
      "moved = f + beta * signs * dt", "moved = f + 0.5 * beta * signs * dt"),
+    ("stream-key-ignores-block", "mc.py",
+     "SeedSequence(entropy=seed, spawn_key=(block,))", "SeedSequence(entropy=seed, spawn_key=(0,))"),
     ("bernoulli-sign-biased", "mc.py",
      "gen.random(BLOCK)[: hi - lo] < 0.5", "gen.random(BLOCK)[: hi - lo] < 0.45"),
     ("bernoulli-under-law-reflects", "mc.py",
@@ -106,6 +108,10 @@ MUTANTS = (
     ("ou-particular-slope-lambda-mu", "stationary.py",
      "return params.alpha / (lambda_speed + params.alpha)",
      "return lambda_speed * mu / (lambda_speed + params.alpha)"),
+    ("sigma-too-small-check-off", "stationary.py",
+     "if not math.isfinite(r):", "if False:"),
+    ("ou-spectrum-sigma-check-off", "spectral.py",
+     "if sg**2 == 0.0:", "if False:"),
     ("honeymoon-step-zero", "honeymoon.py",
      "(g(W), math.nan)", "(g(W), 0.0)"),
     ("transient-decay-from-t", "transient.py",
