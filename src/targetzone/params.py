@@ -13,6 +13,7 @@ fundamental in log units.  The band is the symmetric interval
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +69,18 @@ def _check_count(n, name: str, least: int) -> None:
     """Refuse a count ``n`` that is not an int or numpy integer at least ``least`` (a bool is not)."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
         raise DomainError(f"{name} must be an integer >= {least}")
+
+
+def _check_ou(lambda_speed: float, mu: float, params: ModelParams) -> None:
+    """Refuse a lambda_speed that is not positive and finite, a mu that is not finite, or a
+    sigma too small for z = lambda (f - mu)^2 / sigma^2, the mean-reverting variant's argument."""
+    if not (math.isfinite(lambda_speed) and lambda_speed > 0.0):
+        raise DomainError("lambda_speed must be positive and finite")
+    if not math.isfinite(mu):
+        raise DomainError("mu must be finite")
+    s2 = params.sigma**2
+    if s2 == 0.0 or not math.isfinite(lambda_speed / s2):
+        raise DomainError("sigma too small: sigma^2 underflows to 0 or lambda_speed / sigma^2 overflows")
 
 
 def uniform_grid(params: ModelParams, n_points: int) -> np.ndarray:

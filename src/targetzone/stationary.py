@@ -19,7 +19,8 @@ width.  The Gaussian limit is the beta = 0 case of the same solution:
 there r = rho0 = sqrt(2 alpha) / sigma and the particular part reduces
 to f, so X_S is f + a sinh(rho0 f).  The mean-reverting stationary
 solution built on the confluent hypergeometric function lives here as
-well, as its own type (:class:`OUStationary`).
+well, as its own type (:class:`OUStationary`).  Both families have
+analytic X' and X'', which :func:`stationary_ode_residual` checks.
 
 Internally the homogeneous terms are carried in boundary-anchored form,
 A~ e^{r (f - f_bar)} and B~ e^{-r (f + f_bar)}, whose exponents never
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .params import ModelParams
+from .params import ModelParams, _check_ou
 from .specfun import kummer_1f1
 
 __all__ = [
@@ -198,14 +199,11 @@ def ou_stationary(lambda_speed: float, mu: float, params: ModelParams) -> OUStat
     come from smooth pasting at the band edges.  If mu = 0 the equation
     is odd in f, so A = 0 and X_S is odd.
     """
-    if not (math.isfinite(lambda_speed) and lambda_speed > 0.0):
-        raise DomainError("lambda_speed must be positive and finite")
-    if not math.isfinite(mu):
-        raise DomainError("mu must be finite")
+    _check_ou(lambda_speed, mu, params)
     fb = params.f_bar
-    d1, d2 = _ou_basis_d1(lambda_speed, mu, params, np.array([fb, -fb]))
+    _, (d1, d2) = _ou_basis(lambda_speed, mu, params, np.array([fb, -fb]), 1)
     (m11, m21), (m12, m22) = d1.tolist(), d2.tolist()
-    rhs = -_ou_particular_d1(lambda_speed, mu, params)
+    rhs = -params.alpha / (lambda_speed + params.alpha)  # minus the particular part's slope
     det = m11 * m22 - m12 * m21
     scale = max(abs(m11), abs(m12), abs(m21), abs(m22), 1.0)
     if abs(det) < 1e-14 * scale * scale:
@@ -215,41 +213,32 @@ def ou_stationary(lambda_speed: float, mu: float, params: ModelParams) -> OUStat
     return OUStationary(params, lambda_speed, mu, A, B)
 
 
-def _ou_q(lambda_speed: float, params: ModelParams) -> float:
-    return params.alpha / (2.0 * lambda_speed)
+def _ou_basis(lambda_speed, mu, params, f, order):
+    """(M1, M2) and their first ``order`` f-derivatives (0 to 2), one pair per order.
 
-
-def _ou_z(lambda_speed: float, mu: float, params: ModelParams, f):
-    return lambda_speed * (f - mu) ** 2 / params.sigma**2
-
-
-def _ou_basis(lambda_speed, mu, params, f):
-    q = _ou_q(lambda_speed, params)
-    z = _ou_z(lambda_speed, mu, params, f)
-    m1 = kummer_1f1(q, 0.5, z)
-    m2 = math.sqrt(lambda_speed) / params.sigma * (f - mu) * kummer_1f1(q + 0.5, 1.5, z)
-    return m1, m2
-
-
-def _ou_basis_d1(lambda_speed, mu, params, f):
-    q = _ou_q(lambda_speed, params)
-    z = _ou_z(lambda_speed, mu, params, f)
-    dz = 2.0 * lambda_speed * (f - mu) / params.sigma**2
-    d_m1 = (q / 0.5) * kummer_1f1(q + 1.0, 1.5, z) * dz
+    M1 = M(q, 1/2; z) and M2 = (sqrt(lambda)/sigma)(f - mu) M(q + 1/2, 3/2; z)
+    with q = alpha / (2 lambda) and z = lambda (f - mu)^2 / sigma^2.  The
+    derivatives follow from dM(a, b; z)/dz = (a/b) M(a + 1, b + 1; z) with
+    dz/df = 2 lambda (f - mu) / sigma^2 and d^2z/df^2 = 2 lambda / sigma^2;
+    each order sums two more kummer_1f1 series.
+    """
+    q = params.alpha / (2.0 * lambda_speed)
+    z = lambda_speed * (f - mu) ** 2 / params.sigma**2
     root = math.sqrt(lambda_speed) / params.sigma
-    d_m2 = root * (
-        kummer_1f1(q + 0.5, 1.5, z)
-        + (f - mu) * ((q + 0.5) / 1.5) * kummer_1f1(q + 1.5, 2.5, z) * dz
-    )
-    return d_m1, d_m2
-
-
-def _ou_particular(lambda_speed, mu, params, f):
-    return (params.alpha * f + lambda_speed * mu) / (lambda_speed + params.alpha)
-
-
-def _ou_particular_d1(lambda_speed, mu, params) -> float:
-    return params.alpha / (lambda_speed + params.alpha)
+    k2 = kummer_1f1(q + 0.5, 1.5, z)
+    rows = [(kummer_1f1(q, 0.5, z), root * (f - mu) * k2)]
+    if order >= 1:
+        dz = 2.0 * lambda_speed * (f - mu) / params.sigma**2
+        k3, k4 = kummer_1f1(q + 1.0, 1.5, z), kummer_1f1(q + 1.5, 2.5, z)
+        rows.append(((q / 0.5) * k3 * dz, root * (k2 + (f - mu) * ((q + 0.5) / 1.5) * k4 * dz)))
+    if order >= 2:  # k1_zz, k2_z and k2_zz are z-derivatives of the two series
+        d2z = 2.0 * lambda_speed / params.sigma**2
+        k1_zz = (q / 0.5) * ((q + 1.0) / 1.5) * kummer_1f1(q + 2.0, 2.5, z)
+        k2_z = ((q + 0.5) / 1.5) * k4
+        k2_zz = ((q + 0.5) / 1.5) * ((q + 1.5) / 2.5) * kummer_1f1(q + 2.5, 3.5, z)
+        rows.append((k1_zz * dz**2 + (q / 0.5) * k3 * d2z,
+                     root * (2.0 * k2_z * dz + (f - mu) * (k2_zz * dz**2 + k2_z * d2z))))
+    return rows
 
 
 def _check_band(sol: _Stationary, f) -> np.ndarray:
@@ -260,18 +249,19 @@ def _check_band(sol: _Stationary, f) -> np.ndarray:
     return arr
 
 
-def _ou_x(sol: OUStationary, arr: np.ndarray):
-    """X_S of the mean-reverting solution at every point of ``arr``."""
+def _ou_x(sol: OUStationary, arr: np.ndarray, order: int = 0) -> list:
+    """X_S of the mean-reverting solution and its first ``order`` f-derivatives at ``arr``."""
     lam, mu, p = sol.lambda_speed, sol.mu, sol.params
-    m1, m2 = _ou_basis(lam, mu, p, arr)
-    return sol.A * m1 + sol.B * m2 + _ou_particular(lam, mu, p, arr)
+    particular = ((p.alpha * arr + lam * mu) / (lam + p.alpha), p.alpha / (lam + p.alpha), 0.0)
+    rows = _ou_basis(lam, mu, p, arr, order)
+    return [sol.A * m1 + sol.B * m2 + c for (m1, m2), c in zip(rows, particular)]
 
 
 def eval_stationary(sol: _Stationary, f):
     """X_S(f); accepts scalars or arrays, domain-checked against the band."""
     arr = _check_band(sol, f)
     if isinstance(sol, OUStationary):
-        out = _ou_x(sol, arr)
+        out = _ou_x(sol, arr)[0]
     else:
         out, e_minus, _ = _anchored_terms(sol, arr)
         out += e_minus
@@ -316,18 +306,12 @@ def _eval_error_bound(sol: StationarySolution) -> float:
 
 
 def eval_stationary_derivatives(sol: _Stationary, f):
-    """(X_S, X_S', X_S'') from the analytic closed forms.
-
-    The mean-reverting solution returns first derivatives only (X'' as
-    None).
-    """
+    """(X_S, X_S', X_S'') from the analytic closed forms."""
     arr = _check_band(sol, f)
     p = sol.params
     if isinstance(sol, OUStationary):
-        dm1, dm2 = _ou_basis_d1(sol.lambda_speed, sol.mu, p, arr)
-        x = _ou_x(sol, arr)
-        d1 = sol.A * dm1 + sol.B * dm2 + _ou_particular_d1(sol.lambda_speed, sol.mu, p)
-        return (float(x), float(d1), None) if np.ndim(f) == 0 else (x, d1, None)
+        out = _ou_x(sol, arr, 2)
+        return tuple(map(float, out)) if np.ndim(f) == 0 else tuple(out)
     b = p.beta
     t = np.tanh(b * arr)
     s2 = _sech2(b, arr)
@@ -343,21 +327,18 @@ def eval_stationary_derivatives(sol: _Stationary, f):
 
 
 def stationary_ode_residual(sol: _Stationary, f):
-    """Residual sigma^2/2 X'' + beta tanh(beta f) X' - alpha X + alpha f.
+    """Residual sigma^2/2 X'' + drift X' - alpha X + alpha f, drift beta tanh(beta f) or -lambda (f - mu).
 
     Zero (to roundoff) for any correctly constructed DMPS solution, the
-    beta = 0 Gaussian limit included; the main correctness gate of this
-    module.
+    beta = 0 Gaussian limit included, or mean-reverting one; the main
+    correctness gate of this module.
     """
-    if isinstance(sol, OUStationary):
-        raise DomainError("ODE residual applies to the DMPS solution only")
     p = sol.params
     arr = np.asarray(f, dtype=float)
     x, d1, d2 = eval_stationary_derivatives(sol, arr)
-    res = (
-        0.5 * p.sigma**2 * d2
-        + p.beta * np.tanh(p.beta * arr) * d1
-        - p.alpha * x
-        + p.alpha * arr
-    )
+    if isinstance(sol, OUStationary):
+        drift = -sol.lambda_speed * (arr - sol.mu)
+    else:
+        drift = p.beta * np.tanh(p.beta * arr)
+    res = 0.5 * p.sigma**2 * d2 + drift * d1 - p.alpha * x + p.alpha * arr
     return float(res) if np.ndim(f) == 0 else res

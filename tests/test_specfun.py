@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from targetzone import DomainError, NumericalError, kummer_1f1
 
@@ -123,3 +124,40 @@ def test_1f1_array_lanes_equal_scalar_calls():
     # a scalar x is the one-lane case
     for x in (0.0, 2.5, -2.5, np.float64(2.5), np.array(2.5)):
         assert type(kummer_1f1(0.5, 1.5, x)) is float
+
+
+# (a - q, b) of each series the mean-reverting basis and its first two
+# f-derivatives sum, with q = alpha / (2 lambda)
+OU_SERIES = ((0.0, 0.5), (0.5, 1.5), (1.0, 1.5), (1.5, 2.5), (2.0, 2.5), (2.5, 3.5))
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    alpha=log_uniform(1e-2, 400.0),
+    lam=log_uniform(1e-3, 10.0),
+    sigma=log_uniform(0.05, 2.0),
+    f_bar=log_uniform(1e-2, 0.5),
+    mu_share=st.floats(-1.0, 1.0),
+    f_share=st.floats(-1.0, 1.0),
+)
+@example(alpha=400.0, lam=10.0, sigma=0.05, f_bar=0.5, mu_share=1.0, f_share=0.0)  # z up to 4000
+@example(alpha=400.0, lam=1e-3, sigma=0.05, f_bar=0.5, mu_share=1.0, f_share=0.0)  # q = 2e5
+def test_1f1_over_the_mean_reverting_box(alpha, lam, sigma, f_bar, mu_share, f_share):
+    # z = lambda (f - mu)^2 / sigma^2 at the band edge farthest from mu and at
+    # one drawn band point; where the true value fits a double the sum holds
+    # it to 1e-13 relative, and where it does not the call refuses
+    q, mu = alpha / (2.0 * lam), mu_share * f_bar
+    for f in (-math.copysign(f_bar, mu), f_share * f_bar):
+        z = lam * (f - mu) ** 2 / sigma**2
+        for shift, b in OU_SERIES:
+            a = q + shift
+            ref = mpmath.hyp1f1(a, b, z)
+            if ref <= np.finfo(float).max:
+                assert abs(kummer_1f1(a, b, z) - ref) <= 1e-13 * ref, (a, b, z)
+            else:
+                with pytest.raises(NumericalError):
+                    kummer_1f1(a, b, z)

@@ -167,9 +167,9 @@ def test_refusals_of_the_closed_form():
             solve_smooth_pasting(p)
     with pytest.raises(DomainError, match="sigma too small"):
         ou_asymptotic_spectrum(1.0, 0.0, ModelParams(alpha=0.8, sigma=1e-300), 3)
-    ou = ou_stationary(1.0, 0.0, FIG_PARAMS[0.0])
-    with pytest.raises(DomainError, match="DMPS"):
-        stationary_ode_residual(ou, 0.0)
+    # lambda / sigma^2 overflows: z = lambda (f - mu)^2 / sigma^2 has no scale
+    with pytest.raises(DomainError, match="sigma too small"):
+        ou_stationary(1.0, 0.0, ModelParams(alpha=0.8, beta=1.0, sigma=1e-155, f_bar=0.1))
 
 
 def test_solution_is_odd():
@@ -277,6 +277,18 @@ def test_ou_satisfies_its_equation_by_finite_differences(lam, mu):
     res = (0.5 * p.sigma**2 * (xp - 2.0 * x + xm) / h**2
            - lam * (f - mu) * (xp - xm) / (2.0 * h) + p.alpha * (f - x))
     assert np.abs(res).max() <= 1e-7
+
+
+@pytest.mark.parametrize("alpha, sigma", [(0.8, 1.0), (200.0, 0.1)])
+@pytest.mark.parametrize("lam", [1e-3, 1.0, 10.0])
+@pytest.mark.parametrize("mu", [0.0, 0.02])
+def test_ou_ode_residual_on_grid(alpha, sigma, lam, mu):
+    # X' and X'' from dM(a, b; z)/dz = (a/b) M(a + 1, b + 1; z), not from the equation
+    p = ModelParams(alpha=alpha, beta=0.0, sigma=sigma, f_bar=0.1)
+    sol = ou_stationary(lam, mu, p)
+    grid = uniform_grid(p, 401)
+    res = stationary_ode_residual(sol, grid)
+    assert np.abs(res).max() <= 1e-9 * max(1.0, np.abs(eval_stationary(sol, grid)).max())
 
 
 def test_ou_smooth_pasting_residual():

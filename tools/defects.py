@@ -78,6 +78,10 @@ def ou() -> None:
         res += p.alpha * (f - x)
         report(3, f"OU finite-difference residual max, mu {mu:g} (lambda 1, |f| <= 0.09)",
                f"{np.abs(res).max():.3g}")
+    p200 = ModelParams(alpha=200.0, beta=0.0, sigma=0.1, f_bar=0.1)
+    res = stationary_ode_residual(ou_stationary(10.0, 0.02, p200), uniform_grid(p200, 401))
+    report(3, "OU analytic residual max, mu 0.02 (a 200, s 0.1, lambda 10, 401 f)",
+           f"{np.abs(res).max():.3g}")
     k = np.arange(1, 4)
     classical = k**2 * math.pi**2 * p.sigma**2 / (8.0 * p.f_bar**2) + lam / 2.0
     got = ou_asymptotic_spectrum(lam, 0.0, p, 3)

@@ -86,8 +86,8 @@ MUTANTS = (
     ("kummer-long-double-resum-off", "specfun.py",
      "if redo.any():", "if False:"),
     ("ou-spectrum-takes-fractional-K", "spectral.py",
-     '_check_count(K, "spectrum size K", 1)\n    if not (math.isfinite(lambda_speed)',
-     '_check_count(int(K), "spectrum size K", 1)\n    if not (math.isfinite(lambda_speed)'),
+     '_check_count(K, "spectrum size K", 1)\n    _check_ou(',
+     '_check_count(int(K), "spectrum size K", 1)\n    _check_ou('),
     ("spectrum-takes-fractional-K", "spectral.py",
      '_check_count(K, "spectrum size K", 1)\n    c = spread_coefficient(params)',
      '_check_count(int(K), "spectrum size K", 1)\n    c = spread_coefficient(params)'),
@@ -103,15 +103,22 @@ MUTANTS = (
     ("bracket-check-off", "roots.py",
      "if bad.any():", "if False:"),
     ("ou-particular-lambda-mu", "stationary.py",
-     "return (params.alpha * f + lambda_speed * mu) / (lambda_speed + params.alpha)",
-     "return lambda_speed * mu * f / (lambda_speed + params.alpha)"),
+     "(p.alpha * arr + lam * mu) / (lam + p.alpha)", "lam * mu * arr / (lam + p.alpha)"),
     ("ou-particular-slope-lambda-mu", "stationary.py",
-     "return params.alpha / (lambda_speed + params.alpha)",
-     "return lambda_speed * mu / (lambda_speed + params.alpha)"),
+     "rhs = -params.alpha / (lambda_speed + params.alpha)",
+     "rhs = -lambda_speed * mu / (lambda_speed + params.alpha)"),
+    ("ou-eval-slope-lambda-mu", "stationary.py",
+     ", p.alpha / (lam + p.alpha), 0.0)", ", lam * mu / (lam + p.alpha), 0.0)"),
+    ("ou-second-derivative-factor-dropped", "stationary.py",
+     "k1_zz = (q / 0.5) * ((q + 1.0) / 1.5) * kummer_1f1", "k1_zz = (q / 0.5) * kummer_1f1"),
+    ("ou-residual-drift-sign", "stationary.py",
+     "drift = -sol.lambda_speed * (arr - sol.mu)", "drift = sol.lambda_speed * (arr - sol.mu)"),
     ("sigma-too-small-check-off", "stationary.py",
      "if not math.isfinite(r):", "if False:"),
-    ("ou-spectrum-sigma-check-off", "spectral.py",
-     "if sg**2 == 0.0:", "if False:"),
+    ("ou-spectrum-sigma-check-off", "params.py",
+     "if s2 == 0.0 or not math.isfinite", "if not math.isfinite"),
+    ("ou-sigma-z-scale-check-off", "params.py",
+     " or not math.isfinite(lambda_speed / s2):", ":"),
     ("honeymoon-step-zero", "honeymoon.py",
      "(g(W), math.nan)", "(g(W), 0.0)"),
     ("transient-decay-from-t", "transient.py",
