@@ -294,11 +294,13 @@ def cmd_density(scn: dict, params: ModelParams, threads: int, seed: int | None):
     if n_bins > n_values:
         raise ValidationError(f"density.n_bins = {n_bins} exceeds the {n_values} sampled values")
     K = _count(scn, "transient.K", _DEFAULTS["spectral_K"], 1)
+    # built before the paths, so that a refused transient draws no noise
+    ts = build_transient(params, K=K) if target == "exchange" else None
     ens = simulate(cfg, threads=threads)
     # only the window's columns are histogrammed, so only they are mapped
     ens = dataclasses.replace(ens, times=ens.times[j0:j1], fundamentals=ens.fundamentals[:, j0:j1])
-    if target == "exchange":
-        dens = exchange_density(ens, build_transient(params, K=K), n_bins, value_range)
+    if ts is not None:
+        dens = exchange_density(ens, ts, n_bins, value_range)
     else:
         # a transposed time-major array: order="K" ravels without a copy
         dens = estimate_density(ens.fundamentals.ravel(order="K"), n_bins, value_range)

@@ -50,7 +50,7 @@ import itertools
 import math
 import os
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -283,17 +283,14 @@ def exchange_paths(ensemble: PathEnsemble, transient: TransientSolution) -> np.n
     times = np.minimum(ensemble.times, p.horizon_T)
     for j in np.flatnonzero(_kept_modes(transient, times)):
         out[j] += eval_transient(transient, float(times[j]), rows[j])
-    # no later call maps these columns again: keep no basis of theirs alive past this one
-    transient._slot.clear()
     return out.T
 
 
-def _late_columns(ensemble: PathEnsemble, transient: TransientSolution, first: int):
-    """X over columns ``first``.. of the ensemble, one column at a time from the last back."""
-    for j in reversed(range(first, len(ensemble.times))):
-        cols = slice(j, j + 1)
-        part = replace(ensemble, times=ensemble.times[cols], fundamentals=ensemble.fundamentals[:, cols])
-        yield exchange_paths(part, transient).ravel(order="K")
+def _late_columns(ensemble: PathEnsemble, transient: TransientSolution, times: np.ndarray, first: int):
+    """X*(T - t, f) + X_S(f) over columns ``first``.. at ``times``, one at a time from the last back."""
+    for j in reversed(range(first, len(times))):
+        f = ensemble.fundamentals[:, j]
+        yield eval_transient(transient, float(times[j]), f) + eval_stationary(transient.stationary, f)
 
 
 def _extremes(parts) -> tuple[float, float]:
@@ -372,8 +369,8 @@ def exchange_density(
     to that bin without evaluating X.  Where the table cannot decide -- X_S
     not strictly increasing on the cell boundaries, cells narrower than a
     few ulps, or no stationary column -- every cell is undecided.  Values
-    in undecided cells are mapped with ``eval_stationary``, and the late
-    columns once, through ``exchange_paths``.  An ``"observed"`` range
+    in undecided cells are mapped with ``eval_stationary``, and each late
+    column once, as X*(T - t, f) + X_S(f).  An ``"observed"`` range
     spans X_S at min and max f, the other stationary values within two
     cells of them (all of them where the table cannot decide), and the
     late columns, which it keeps until it is known.  Work goes in slabs of
@@ -390,8 +387,9 @@ def exchange_density(
     p, sol = _shared_params(ensemble, transient), transient.stationary
     if ensemble.fundamentals.size == 0:
         raise DomainError("exchange_density needs at least one value")
-    late = np.flatnonzero(_kept_modes(transient, np.minimum(ensemble.times, p.horizon_T)))
-    first = late[0] if late.size else len(ensemble.times)
+    times = np.minimum(ensemble.times, p.horizon_T)
+    late = np.flatnonzero(_kept_modes(transient, times))
+    first = late[0] if late.size else len(times)
     rows = ensemble.fundamentals.T[:first]
     step = max(1, _XS_SLAB // rows.shape[1])
     slabs = [rows[j : j + step] for j in range(0, len(rows), step)]
@@ -407,7 +405,7 @@ def exchange_density(
         and xb[2] - xb[0] > w
         and xb[-1] - xb[-3] > w
     )
-    late_x = _late_columns(ensemble, transient, first)
+    late_x = _late_columns(ensemble, transient, times, first)
     if observed:
         # min and max f map to xb[0] and xb[-1]; where the table decides, a value
         # beyond two cells of min f maps above X_S(b_2) - w > X_S(min f)

@@ -306,24 +306,24 @@ def _eval_error_bound(sol: StationarySolution) -> float:
 
 
 def eval_stationary_derivatives(sol: _Stationary, f):
-    """(X_S, X_S', X_S'') from the analytic closed forms."""
+    """(X_S, X_S', X_S'') from the analytic closed forms; three floats for a scalar f."""
     arr = _check_band(sol, f)
     p = sol.params
     if isinstance(sol, OUStationary):
         out = _ou_x(sol, arr, 2)
-        return tuple(map(float, out)) if np.ndim(f) == 0 else tuple(out)
-    b = p.beta
-    t = np.tanh(b * arr)
-    s2 = _sech2(b, arr)
-    e_plus, e_minus, r = _anchored_terms(sol, arr)
-    x = e_plus + e_minus + _particular(p, arr)
-    d1 = (r - b * t) * e_plus + (-r - b * t) * e_minus + _particular_d1(p, arr)
-    d2 = (
-        ((r - b * t) ** 2 - b**2 * s2) * e_plus
-        + ((r + b * t) ** 2 - b**2 * s2) * e_minus
-        + _particular_d2(p, arr)
-    )
-    return x, d1, d2
+    else:
+        b = p.beta
+        t = np.tanh(b * arr)
+        s2 = _sech2(b, arr)
+        e_plus, e_minus, r = _anchored_terms(sol, arr)
+        out = (
+            e_plus + e_minus + _particular(p, arr),
+            (r - b * t) * e_plus + (-r - b * t) * e_minus + _particular_d1(p, arr),
+            ((r - b * t) ** 2 - b**2 * s2) * e_plus
+            + ((r + b * t) ** 2 - b**2 * s2) * e_minus
+            + _particular_d2(p, arr),
+        )
+    return tuple(map(float, out)) if np.ndim(f) == 0 else tuple(out)
 
 
 def stationary_ode_residual(sol: _Stationary, f):

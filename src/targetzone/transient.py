@@ -25,13 +25,13 @@ at most 1e-15 sum_k |c_k|, a cut relative to the solution's own size (see
 ``_kept_modes``).  The Monte Carlo skips the transient where it keeps none.
 
 The n x k sine basis sin(u_k f / f_bar), as wide as the widest row's prefix,
-is most of an evaluation's cost, so each solution keeps the last basis it
-built in one private slot: ``eval_full`` after ``surface`` on one grid
+is most of an evaluation's cost, so ``surface`` keeps its basis in the
+solution's one private slot: ``eval_full`` after ``surface`` on one grid
 builds no second basis.  The slot keys on the width and the grid's shape and
 bytes (a grid changed in place, or whose 0.0 became -0.0, is rebuilt).  A
-hit hands the basis over and leaves the slot empty, so a basis is reused at
-most once and dies with its solution.  No CLI command evaluates one
-solution twice on one grid, so the slot speeds up no CLI run.
+hit hands the basis over and leaves the slot empty, and no other evaluator
+keeps one, so a basis is reused at most once and dies with its solution.  No
+CLI command evaluates one solution twice on one grid: the slot speeds up none.
 """
 
 from __future__ import annotations
@@ -76,14 +76,25 @@ class TransientSolution:
 
 
 def build_transient(params: ModelParams, K: int = 50) -> TransientSolution:
-    """Spectrum, smooth-pasted X_S and all K coefficients of -X_S, from one ``params``."""
+    """Spectrum, smooth-pasted X_S and all K coefficients of -X_S, from one ``params``.
+
+    Raises :class:`DomainError` where f_bar is so small that the closed-form
+    moments or decay rates of the K modes, which grow with u_K / f_bar, overflow.
+    """
     spectrum = build_spectrum(params, K)
     sol = solve_smooth_pasting(params)
     us = spectrum.u
     # closed-form L2 norm of each mode: integral of sin(u f / f_bar)^2 over the band
     norms = params.f_bar * (1.0 - np.sin(2.0 * us) / (2.0 * us))
-    coeffs = -_sine_moments(sol, us) / norms
-    return TransientSolution(spectrum=spectrum, coeffs=coeffs, stationary=sol)
+    try:
+        with np.errstate(over="raise"):
+            coeffs = -_sine_moments(sol, us) / norms
+            ts = TransientSolution(spectrum=spectrum, coeffs=coeffs, stationary=sol)
+            ts.decay_rates()  # evaluated for the overflow check only
+    except FloatingPointError:
+        raise DomainError(f"f_bar = {params.f_bar:g} too small: the moments or decay rates "
+                          f"of {K} modes overflow") from None
+    return ts
 
 
 def _kept_modes(ts: TransientSolution, times: np.ndarray) -> np.ndarray:
@@ -104,13 +115,14 @@ def _kept_modes(ts: TransientSolution, times: np.ndarray) -> np.ndarray:
     return np.array([np.count_nonzero(row) for row in dropped > 1e-15 * amps.sum()], dtype=np.intp)
 
 
-def _sine_basis(ts: TransientSolution, arr: np.ndarray, width: int | None = None) -> np.ndarray:
+def _sine_basis(ts: TransientSolution, arr: np.ndarray, width: int | None = None,
+                keep: bool = False) -> np.ndarray:
     """The read-only basis sin(u_k f / f_bar) over ``arr`` and the first ``width`` modes (default all).
 
     It is taken from ``ts``'s slot when ``width`` and ``arr`` match its key; a hit
     empties the slot.  On a miss the old basis is let go before the new one fills
     one buffer in place (a second buffer, or the old basis kept through the build,
-    costs page faults and RSS), and the new one is kept for the next call.
+    costs page faults and RSS).  With ``keep`` the basis stays for the next call.
     """
     width = len(ts.coeffs) if width is None else width
     key = (width, arr.shape, arr.tobytes())
@@ -120,11 +132,12 @@ def _sine_basis(ts: TransientSolution, arr: np.ndarray, width: int | None = None
         basis = np.multiply.outer(arr, ts.spectrum.u[:width] / ts.spectrum.params.f_bar)
         np.sin(basis, out=basis)
         basis.flags.writeable = False
+    if keep:
         ts._slot[key] = basis
     return basis
 
 
-def _transient_rows(ts: TransientSolution, t_grid, f):
+def _transient_rows(ts: TransientSolution, t_grid, f, keep: bool = False):
     """Check every time and every f, then return the rows X*(T - t, f), one per t.
 
     Each row sums only its ``_kept_modes``, counted before the basis exists so that no
@@ -137,7 +150,7 @@ def _transient_rows(ts: TransientSolution, t_grid, f):
         raise DomainError("time outside [0, horizon_T]")
     arr = _check_band(ts.stationary, f)
     kept = _kept_modes(ts, times)
-    basis = _sine_basis(ts, arr, int(kept.max(initial=0)))
+    basis = _sine_basis(ts, arr, int(kept.max(initial=0)), keep)
     damp = np.cosh(p.beta * arr)
     rates = ts.decay_rates()
     return ((basis[..., :k] @ (np.exp(-rates[:k] * (p.horizon_T - t)) * ts.coeffs[:k])) / damp
@@ -161,6 +174,6 @@ def surface(ts: TransientSolution, t_grid, f_grid) -> np.ndarray:
     f = np.asarray(f_grid, dtype=float)
     base = eval_stationary(ts.stationary, f)
     out = np.empty((len(times), len(f)))
-    for i, row in enumerate(_transient_rows(ts, times, f)):
+    for i, row in enumerate(_transient_rows(ts, times, f, keep=True)):
         out[i] = row + base
     return out

@@ -522,3 +522,21 @@ def test_cli_exit_codes_over_the_parameter_box(tmp_path):
                 if command == "ou" and field == "sigma" and value <= 1e-155 and code != 2:
                     failures.append((name, code))
     assert failures == []
+
+
+# On such bands the transient's closed-form moments (and at 1e-300 its decay
+# rates) overflow; numpy warned and the run wrote X(T, f_bar) = 2.25 f_bar.
+# RuntimeWarnings are errors here: the refusal comes before any overflow, and
+# for density before any noise is drawn.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["transient", "density"])
+@pytest.mark.parametrize("f_bar", [1e-150, 1e-300])
+def test_cli_refuses_a_band_too_narrow_for_the_transient(tmp_path, capsys, monkeypatch, command, f_bar):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("simulate ran before the transient was built")
+
+    monkeypatch.setattr(targetzone.mc, "simulate", no_draw)
+    model = {**BOX_REF, "horizon_T": 0.1, "f_bar": f_bar}
+    scn = write_scenario(tmp_path, "narrow.json", {"model": model, **BOX_SECTIONS})
+    assert main([command, "--config", str(scn), "--out", str(tmp_path / "out")]) == 2
+    assert "f_bar" in capsys.readouterr().err

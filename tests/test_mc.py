@@ -424,7 +424,7 @@ def inverse_by_bisection(x_of_f, targets, r):
 # f: columns 1..39 of a 40-step run, the horizon column left out because
 # X(T, .) is 0 up to the parity error and so not increasing.  Each case's
 # window holds stationary columns, which go through the bin table, and late
-# columns, which go through exchange_paths.  Where X(t, .) is strictly
+# columns, which go through eval_transient.  Where X(t, .) is strictly
 # increasing on [-r, r], P(X in [a, b)) = F_t(X(t, .)^-1(b)) - F_t(X(t,
 # .)^-1(a)) with F_t the image-series CDF; X_S^-1 and X(t, .)^-1 are found by
 # bisection on eval_stationary and eval_full.  The range is [-x, x], x the
@@ -686,22 +686,31 @@ def first_late(ens, ts):
 def assert_density_matches_direct(monkeypatch, ens, ts, n_bins, value_range):
     """exchange_density against estimate_density(exchange_paths) to the bit.
 
-    Returns the times of the columns handed to exchange_paths, sorted (the
-    late columns arrive one at a time from the horizon back).
+    Returns the times of the columns whose transient exchange_density
+    evaluated, sorted (the late columns arrive one at a time from the
+    horizon back), each call checked to carry its own column.  The
+    solution's slot must be empty afterwards.
     """
-    mapped = [ens.times[:0]]
+    calls = []
 
-    def spy(e, t):
-        mapped.append(e.times)
-        return exchange_paths(e, t)
+    def spy(tsol, t, f):
+        calls.append((t, np.array(f)))
+        return eval_transient(tsol, t, f)
 
     with monkeypatch.context() as patch:
-        patch.setattr(targetzone.mc, "exchange_paths", spy)
+        patch.setattr(targetzone.mc, "eval_transient", spy)
         got = exchange_density(ens, ts, n_bins, value_range)
+    assert not ts._slot
     ref = estimate_density(exchange_paths(ens, ts).ravel(order="K"), n_bins, value_range)
     assert got.bin_edges.tobytes() == ref.bin_edges.tobytes()
     assert got.density.tobytes() == ref.density.tobytes()
-    return np.sort(np.concatenate(mapped))
+    times = np.minimum(ens.times, ts.spectrum.params.horizon_T)
+    columns = []
+    for t, f in calls:
+        (j,) = np.flatnonzero(times == t)
+        assert f.tobytes() == ens.fundamentals[:, j].tobytes(), j
+        columns.append(j)
+    return np.sort(ens.times[columns])
 
 
 BETA_SHIFTED = 2.0 * regime_threshold(ModelParams(alpha=200.0, beta=0.0, sigma=0.1, f_bar=0.1))
@@ -722,7 +731,7 @@ def test_exchange_density_matches_direct_route(monkeypatch, case, band):
     f_bar = ts.spectrum.params.f_bar
     columns = ens.fundamentals.shape[1]
     mapped = assert_density_matches_direct(monkeypatch, ens, ts, 21, (-f_bar, f_bar) if band else None)
-    # the late columns, and no other, went through exchange_paths, each once
+    # the late columns, and no other, got the transient, each once
     assert mapped.tobytes() == ens.times[first_late(ens, ts):].tobytes()
     if case.get("window") == (0.2, 0.8):
         assert mapped.size == 0
@@ -811,12 +820,12 @@ def test_exchange_density_exact_for_any_error_within_the_bound(monkeypatch, band
     monkeypatch.setattr(targetzone.mc, "_eval_error_bound", lambda sol: err)
     value_range = (-0.05, 0.05) if band else None
     mapped = assert_density_matches_direct(monkeypatch, ens, ts, 21, value_range)
-    assert mapped.size < ens.fundamentals.shape[1] // 2
+    assert 0 < mapped.size < ens.fundamentals.shape[1] // 2
 
 
 def test_exchange_density_falls_back_where_x_is_not_monotone(monkeypatch):
     # X_S squared is not monotone, so the table leaves every cell undecided;
-    # still only the late columns go through exchange_paths, each once
+    # still only the late columns get the transient, each once
     ens, ts = density_ensemble(beta=5.0)
     monkeypatch.setattr(targetzone.mc, "eval_stationary", lambda sol, f: eval_stationary(sol, f) ** 2)
     late = ens.times[first_late(ens, ts):]

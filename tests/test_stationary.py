@@ -291,6 +291,15 @@ def test_ou_ode_residual_on_grid(alpha, sigma, lam, mu):
     assert np.abs(res).max() <= 1e-9 * max(1.0, np.abs(eval_stationary(sol, grid)).max())
 
 
+def test_derivatives_return_floats_for_a_scalar_f_in_both_families():
+    # a scalar f gets three Python floats and an array f three arrays, whichever the family
+    p = ModelParams(alpha=0.8, beta=0.0, sigma=1.0, f_bar=0.1)
+    for sol in (solve_smooth_pasting(dataclasses.replace(p, beta=1.0)), ou_stationary(1.0, 0.02, p)):
+        assert [type(v) for v in eval_stationary_derivatives(sol, 0.05)] == [float] * 3
+        for v in eval_stationary_derivatives(sol, np.array([-0.05, 0.05])):
+            assert isinstance(v, np.ndarray) and v.shape == (2,)
+
+
 def test_ou_smooth_pasting_residual():
     p = ModelParams(alpha=0.8, beta=0.0, sigma=1.0, f_bar=0.1)
     sol = ou_stationary(1.0, 0.02, p)

@@ -260,9 +260,17 @@ def reference_full(params, t, grid, k=SLOT_K):
     return eval_full(dataclasses.replace(ts, coeffs=ts.coeffs[:k]), t, grid.copy())
 
 
+def kept_by_surface(ts, t, grid):
+    """Have ``surface`` keep its basis of ``grid`` at time ``t`` in ``ts``'s slot; return the basis width."""
+    surface(ts, [t], grid)
+    ((width, *_),) = ts._slot
+    return width
+
+
 def test_sine_basis_reused_only_for_the_same_solution_and_grid_bytes():
     # at t = T every mode carries its full weight, so a stale basis row shows.
-    # A hit empties the slot, so each grid below meets a slot filled on another key
+    # Only surface keeps a basis, and a hit empties the slot, so each stale
+    # key below meets a basis that surface kept on another key
     ts = build_transient(REF, SLOT_K)
     fg = uniform_grid(REF, 101)
     fg[50] = 0.0
@@ -270,19 +278,26 @@ def test_sine_basis_reused_only_for_the_same_solution_and_grid_bytes():
     rows = surface(ts, [t], fg)
     assert np.array_equal(rows[0], reference_full(REF, t, fg))
     assert np.array_equal(eval_full(ts, t, fg), rows[0])
+    assert not ts._slot
     assert not transient._sine_basis(ts, fg).flags.writeable
     # same shape, other values
+    kept_by_surface(ts, t, fg)
     other = 0.5 * fg
     assert np.array_equal(eval_full(ts, t, other), reference_full(REF, t, other))
-    # the same array, changed in place between calls
-    assert np.array_equal(eval_full(ts, t, fg), reference_full(REF, t, fg))
+    # the same array, changed in place after surface kept its basis
+    kept_by_surface(ts, t, fg)
     fg[3] = 0.25 * REF.f_bar
     assert np.array_equal(eval_full(ts, t, fg), reference_full(REF, t, fg))
     # 0.0 became -0.0: sin keeps the sign of zero, so the basis row must too
+    kept_by_surface(ts, t, fg)
     fg[50] = -0.0
     got = eval_full(ts, t, fg)
     assert np.signbit(transient._sine_basis(ts, fg)[50]).all()
     assert np.array_equal(got, reference_full(REF, t, fg))
+    # another width: a row near the horizon keeps fewer modes than the one at T
+    assert 0 < kept_by_surface(ts, t - 1e-3, fg) < SLOT_K
+    assert np.array_equal(eval_full(ts, t, fg), reference_full(REF, t, fg))
+    assert not ts._slot
 
 
 def test_sine_basis_follows_the_solution_on_one_grid():
@@ -291,14 +306,17 @@ def test_sine_basis_follows_the_solution_on_one_grid():
     fg = uniform_grid(REF, 101)
     t = REF.horizon_T
     want = {REF: reference_full(REF, t, fg), other_params: reference_full(other_params, t, fg)}
-    for ts in (a, b, a, b):
+    # each solution meets the basis surface kept for the other one
+    for ts, other in ((a, b), (b, a), (a, b)):
+        kept_by_surface(other, t, fg)
         assert np.array_equal(eval_full(ts, t, fg), want[ts.spectrum.params])
     # a k-mode view of the same solution gets k columns, not the parent's K
     k = 17
-    eval_full(a, t, fg)
+    assert kept_by_surface(a, t, fg) == SLOT_K
     view = dataclasses.replace(a, coeffs=a.coeffs[:k])
     assert np.array_equal(eval_full(view, t, fg), reference_full(REF, t, fg, k))
     assert transient._sine_basis(view, fg).shape == (len(fg), k)
+    assert len(a._slot) == 1 and not view._slot
 
 
 def traced_bases(monkeypatch):
@@ -315,13 +333,17 @@ def traced_bases(monkeypatch):
 
 
 def test_sine_basis_built_on_a_miss_dies_with_its_solution(monkeypatch):
+    # eval_full keeps no basis it built on a miss; surface keeps its own
+    # until the solution dies
     refs = traced_bases(monkeypatch)
     ts = build_transient(REF, SLOT_K)
     fg = uniform_grid(REF, 101)
     eval_full(ts, REF.horizon_T, fg)
-    assert refs[0]() is not None
+    assert refs[0]() is None and not ts._slot
+    surface(ts, [REF.horizon_T], fg)
+    assert refs[1]() is not None
     del ts
-    assert refs[0]() is None
+    assert refs[1]() is None
 
 
 def test_sine_basis_handed_over_on_a_hit(monkeypatch):

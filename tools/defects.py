@@ -129,6 +129,27 @@ def small_alpha() -> None:
         report(9, f"D = 2 alpha exactly at a {alpha:g}, b {beta:g}, fb {f_bar:g}", verdict)
 
 
+def narrow_band() -> None:
+    """Item 9: X_S's anchored terms cancel down to O(f_bar) on narrow bands, where X_S is O(f_bar^3).
+
+    Past the narrowest band the closed-form transient can take, it is refused.
+    """
+    for f_bar in (1e-8, 1e-12):
+        p = ModelParams(alpha=0.8, beta=1.0, sigma=1.0, f_bar=f_bar)
+        f = uniform_grid(p, 41)
+        ref = reference_xs(p, f)
+        err = np.abs(eval_stationary(solve_smooth_pasting(p), f) - ref).max() / np.abs(ref).max()
+        report(9, f"X_S error / max|X_S| at a 0.8, b 1, fb {f_bar:g} (narrow band)", f"{err:.2g}")
+    verdicts = []
+    for f_bar in (1e-150, 1e-300):
+        try:
+            build_transient(ModelParams(alpha=0.8, beta=1.0, sigma=1.0, f_bar=f_bar), K=50)
+            verdicts.append("built")
+        except DomainError:
+            verdicts.append("refused")
+    report(9, "transient at fb 1e-150 and 1e-300 (a 0.8, b 1, s 1, K 50)", "  ".join(verdicts))
+
+
 def contact_cancellation() -> None:
     """Item 11: W - tanh(kW)/k cancels where kW << 1, so the stop rule accepts a far root."""
     alpha, F = 1e-100, 1.0
@@ -161,5 +182,6 @@ def mode_tail() -> None:
 
 
 if __name__ == "__main__":
-    for measure in (parity, ode_residual, ou, honeymoon_jump, small_alpha, contact_cancellation, mode_tail):
+    for measure in (parity, ode_residual, ou, honeymoon_jump, small_alpha, narrow_band,
+                    contact_cancellation, mode_tail):
         measure()

@@ -50,14 +50,12 @@ MUTANTS = (
     ("reflection-folds-once", "mc.py",
      "np.where(m != 2.0 * np.floor(0.5 * m), shift - values, values - shift)",
      "np.where(m == 0.0, values, np.sign(m) * 2.0 * radius - values)"),
-    ("late-column-basis-kept", "mc.py",
-     "    transient._slot.clear()\n", ""),
     ("table-used-where-it-cannot-decide", "mc.py",
      "if decides:", "if True:"),
     ("undecided-batch-full-slab", "mc.py",
      "_UNDECIDED_BATCH = 1 << 13", "_UNDECIDED_BATCH = 1 << 15"),
     ("late-columns-from-the-start", "mc.py",
-     "for j in reversed(range(first, len(ensemble.times))):", "for j in range(first, len(ensemble.times)):"),
+     "for j in reversed(range(first, len(times))):", "for j in range(first, len(times)):"),
     ("bin-rule-off-by-one", "mc.py",
      'np.searchsorted(edges[:-1], x, "right")', 'np.searchsorted(edges[1:], x, "right")'),
     ("bin-rule-last-bin-open", "mc.py",
@@ -143,6 +141,14 @@ MUTANTS = (
      "key = (width, arr.shape, arr.tobytes())", "key = (arr.shape, arr.tobytes())"),
     ("sine-basis-kept-after-a-hit", "transient.py",
      "basis = ts._slot.pop(key, None)", "basis = ts._slot.get(key)"),
+    ("eval-transient-keeps-its-basis", "transient.py",
+     "(out,) = _transient_rows(ts, [float(t)], f)", "(out,) = _transient_rows(ts, [float(t)], f, keep=True)"),
+    ("surface-keeps-no-basis", "transient.py",
+     "_transient_rows(ts, times, f, keep=True)", "_transient_rows(ts, times, f)"),
+    ("narrow-band-refusal-off", "transient.py",
+     'np.errstate(over="raise")', 'np.errstate(over="ignore")'),
+    ("derivatives-scalar-conversion-dropped", "stationary.py",
+     "return tuple(map(float, out)) if np.ndim(f) == 0 else tuple(out)", "return tuple(out)"),
 )
 
 
