@@ -9,6 +9,13 @@ scenario and seed; ``--threads`` never changes numbers, only how many of
 the 256-path noise blocks, each keyed by (seed, block), are drawn at once.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
+
+Run as ``python -m targetzone.cli`` or as the ``targetzone`` script, the
+process ends through ``_run_and_exit``: it flushes stdout and stderr after
+``main`` returns, then leaves with ``os._exit``, skipping the interpreter's
+teardown (module cleanup and final collections over numpy's objects, about
+25 ms of CPU per run), on which no output byte depends.  ``main`` itself
+returns the code and never exits, so callers in a process are unaffected.
 """
 
 from __future__ import annotations
@@ -423,5 +430,24 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def _run_and_exit() -> None:
+    """Run ``main``, flush both streams, and end the process with its code.
+
+    ``main`` has closed and renamed its output file and joined any thread
+    pool by the time it returns, so only the streams hold unwritten bytes.
+    Should a flush raise, ``sys.exit`` ends the run as before, and the
+    interpreter's own flush then reports the lost write (exit code 120).
+    argparse's exits and uncaught exceptions raise out of ``main`` and take
+    that normal path too.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    _run_and_exit()

@@ -73,7 +73,8 @@ def _check_count(n, name: str, least: int) -> None:
 
 def _check_ou(lambda_speed: float, mu: float, params: ModelParams) -> None:
     """Refuse a lambda_speed that is not positive and finite, a mu that is not finite, or a
-    sigma too small for z = lambda (f - mu)^2 / sigma^2, the mean-reverting variant's argument."""
+    sigma too small or a band too wide for z = lambda (f - mu)^2 / sigma^2, the
+    mean-reverting variant's argument."""
     if not (math.isfinite(lambda_speed) and lambda_speed > 0.0):
         raise DomainError("lambda_speed must be positive and finite")
     if not math.isfinite(mu):
@@ -81,6 +82,11 @@ def _check_ou(lambda_speed: float, mu: float, params: ModelParams) -> None:
     s2 = params.sigma**2
     if s2 == 0.0 or not math.isfinite(lambda_speed / s2):
         raise DomainError("sigma too small: sigma^2 underflows to 0 or lambda_speed / sigma^2 overflows")
+    # z at the band edge, in the order the basis computes it; float products
+    # overflow to inf, where ** would raise OverflowError
+    edge = params.f_bar + abs(mu)
+    if not math.isfinite(lambda_speed * (edge * edge) / s2):
+        raise DomainError("band too wide: z = lambda_speed (f_bar + |mu|)^2 / sigma^2 overflows")
 
 
 def uniform_grid(params: ModelParams, n_points: int) -> np.ndarray:

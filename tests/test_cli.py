@@ -13,6 +13,7 @@ import pytest
 import targetzone.mc
 from targetzone import (
     ModelParams,
+    NumericalError,
     SimConfig,
     ValidationError,
     build_spectrum,
@@ -262,16 +263,92 @@ def test_output_mode_follows_the_umask(tmp_path, umask):
     assert [p.name for p in out.iterdir()] == ["s.csv"]
 
 
-def test_module_runs_as_a_script(tmp_path):
-    out = tmp_path / "s.csv"
-    argv = ["-m", "targetzone.cli", "spectrum", "--config", str(SCENARIOS / "spectrum_narrow.json"),
-            "--out", str(out)]
+def cli_child(argv, code=None):
+    """Start ``python -m targetzone.cli argv`` (or ``python -c code``) on this checkout's package.
+
+    PYTHONUNBUFFERED is dropped from the child's environment, so its stdout
+    into the pipe is block-buffered and its stderr line-buffered, as in a
+    user's shell: a missing flush then loses bytes instead of passing unseen.
+    """
     src = str(SCENARIOS.parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
-    assert (run.returncode, run.stdout.strip()) == (0, str(out))
-    assert out.read_text() == run_command("spectrum", SCENARIOS / "spectrum_narrow.json",
-                                          tmp_path / "ref.csv").read_text()
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    args = ["-c", code] if code is not None else ["-m", "targetzone.cli", *argv]
+    return subprocess.Popen([sys.executable, *args], env=env, stdin=subprocess.DEVNULL,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
+# one shipped scenario per command
+SHIPPED_RUNS = (
+    ("spectrum", "spectrum_narrow"),
+    ("stationary", "fig2_stationary"),
+    ("transient", "fig3_transient"),
+    ("feasibility", "spectrum_narrow"),
+    ("regime-scan", "regimeshift_narrow"),
+    ("simulate", "fig6a_law_marginal"),
+    ("density", "fig6b_reflection_intramarginal"),
+    ("honeymoon", "spectrum_narrow"),
+    ("ou", "ou_stationary"),
+)
+
+
+def test_module_runs_as_a_script(tmp_path):
+    # exit 0 through the flush-then-os._exit path: the printed path arrives
+    # through the pipe, and the file holds the bytes of the in-process run.
+    # The children run while the references are computed here.
+    outs = [tmp_path / f"{command}-{name}.out" for command, name in SHIPPED_RUNS]
+    children = [cli_child([command, "--config", str(SCENARIOS / f"{name}.json"), "--out", str(out)])
+                for (command, name), out in zip(SHIPPED_RUNS, outs)]
+    refs = [run_command(command, SCENARIOS / f"{name}.json", tmp_path / f"{command}-{name}.ref")
+            for command, name in SHIPPED_RUNS]
+    for (command, name), child, out, ref in zip(SHIPPED_RUNS, children, outs, refs):
+        stdout, stderr = child.communicate(timeout=120)
+        assert (child.returncode, stdout, stderr) == (0, f"{out}\n", ""), command
+        assert out.read_bytes() == ref.read_bytes(), (command, name)
+
+
+def test_module_exit_codes_carry_their_whole_message(tmp_path):
+    # exit 2 for a ValidationError and for a usage error, exit 3 for a NumericalError
+    bad = write_scenario(tmp_path, "bad.json", {"model": {"alpha": 0.8, "speed": 2}})
+    wide = write_scenario(tmp_path, "wide.json", {"model": {"alpha": 0.8, "beta": 1402.0, "f_bar": 0.5}})
+    runs = (("spectrum", bad, ValidationError, "error"),
+            ("stationary", wide, NumericalError, "numerical failure"))
+    children = [cli_child([command, "--config", str(scn), "--out", str(tmp_path / "x")])
+                for command, scn, _, _ in runs]
+    usage = cli_child(["spectrum", "--out", str(tmp_path / "x")])
+    for (command, scn, error, label), child, code in zip(runs, children, (2, 3)):
+        with pytest.raises(error) as exc:
+            run_command(command, scn, tmp_path / "x")
+        assert child.communicate(timeout=60) == ("", f"{label}: {exc.value}\n"), command
+        assert child.returncode == code, command
+    stdout, stderr = usage.communicate(timeout=60)
+    assert (usage.returncode, stdout) == (2, "")
+    assert stderr.startswith("usage: targetzone ")
+    assert stderr.endswith("targetzone: error: the following arguments are required: --config\n")
+    assert not (tmp_path / "x").exists()
+
+
+def test_exit_flushes_what_either_stream_still_holds():
+    # text with no newline stays in the buffer of either stream until a flush,
+    # and the code main returns is the process's exit code
+    code = ("import sys\n"
+            "import targetzone.cli as cli\n"
+            "def main():\n"
+            "    sys.stdout.write('out')\n"
+            "    sys.stderr.write('err')\n"
+            "    return 3\n"
+            "cli.main = main\n"
+            "cli._run_and_exit()\n")
+    child = cli_child(None, code)
+    assert child.communicate(timeout=60) == ("out", "err")
+    assert child.returncode == 3
+
+
+def test_console_script_takes_the_same_exit():
+    # the installed script and python -m targetzone.cli end through one function
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((SCENARIOS.parents[2] / "pyproject.toml").read_text())
+    assert pyproject["project"]["scripts"] == {"targetzone": "targetzone.cli:_run_and_exit"}
 
 
 def test_cli_success_exit_code(tmp_path, capsys):
@@ -497,9 +574,9 @@ ANALYTIC = ("spectrum", "stationary", "transient", "feasibility", "regime-scan",
 NON_FINITE = re.compile(r"\b(nan|-?inf(inity)?)\b", re.IGNORECASE)
 
 
-# numpy's RuntimeWarnings are printed by the CLI, not raised; what a user gets
-# is the exit code and the numbers, and that is what this test judges
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# RuntimeWarnings are errors here: a numpy overflow is either refused before it
+# happens or reported as a numerical failure, never printed beside an answer
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_exit_codes_over_the_parameter_box(tmp_path):
     # every command either answers with finite numbers or refuses with exit 2 or 3
     failures = []
@@ -518,8 +595,10 @@ def test_cli_exit_codes_over_the_parameter_box(tmp_path):
                     continue
                 if code not in (0, 2, 3) or (code == 0 and NON_FINITE.search(out.read_text())):
                     failures.append((name, code))
-                # sigma^2 underflows or lambda / sigma^2 overflows: ou refuses its input
-                if command == "ou" and field == "sigma" and value <= 1e-155 and code != 2:
+                # sigma^2 underflows, lambda / sigma^2 overflows, or z overflows at
+                # the band edge: ou refuses its input
+                refused = (field == "sigma" and value <= 1e-155) or (field == "f_bar" and value == 1e300)
+                if command == "ou" and refused and code != 2:
                     failures.append((name, code))
     assert failures == []
 

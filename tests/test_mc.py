@@ -196,6 +196,35 @@ def test_noise_is_per_path_not_per_ensemble(monkeypatch, drift_mode):
     assert np.array_equal(small.fundamentals, large.fundamentals[:300])
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    alpha=st.floats(20.0, 400.0),
+    beta=st.floats(0.0, 50.0),
+    sigma=st.floats(0.05, 1.0),
+    f_bar=st.floats(0.02, 0.5),
+    kappa=st.floats(0.2, 1.0),
+    intervention=st.sampled_from(["law", "pure_reflection"]),
+    drift_mode=st.sampled_from(["tanh", "bernoulli"]),
+    seed=st.integers(0, 2**32),
+    n_paths=st.integers(257, 600),
+    share=st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_simulate_over_the_box(alpha, beta, sigma, f_bar, kappa, intervention, drift_mode, seed,
+                               n_paths, share):
+    # 20 steps of dt = 1/alpha, at least two noise blocks; beta up to 50 and
+    # kappa down to 0.2 reach fig8's multi-fold overshoots.  Every state lies
+    # within the trigger radius, threads change no bit, and path i is the
+    # same in every ensemble of more than i paths
+    p = ModelParams(alpha=alpha, beta=beta, sigma=sigma, f_bar=f_bar, horizon_T=20.0 / alpha)
+    cfg = SimConfig(params=p, n_paths=n_paths, drift_mode=drift_mode, intervention=intervention,
+                    seed=seed, kappa=kappa)
+    paths = simulate(cfg).fundamentals
+    assert np.all(np.abs(paths) <= kappa * f_bar)
+    assert paths.tobytes() == simulate(cfg, threads=2).fundamentals.tobytes()
+    fewer = simulate(dataclasses.replace(cfg, n_paths=1 + int(share * (n_paths - 1)))).fundamentals
+    assert fewer.tobytes() == paths[: len(fewer)].tobytes()
+
+
 def test_band_containment_and_intervention_log():
     ens = simulate(quiet_config(n_paths=300, seed=3, intervention="law"))
     radius = ens.config.kappa * ens.config.params.f_bar

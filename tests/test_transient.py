@@ -364,6 +364,67 @@ def full_transient(ts, t, f):
     return basis @ (np.exp(-ts.decay_rates() * (p.horizon_T - t)) * ts.coeffs) / np.cosh(p.beta * f)
 
 
+def transient_residual(ts, t, f):
+    """(R, scale): X* = X*(T - t, f) in its backward equation, over all K modes.
+
+    R = dX*/dt + sigma^2/2 X*'' + beta tanh(beta f) X*' - alpha X*, with the
+    derivatives of each mode m_k = sin(k f) / cosh(beta f), k = u_k / f_bar,
+    in closed form:
+
+        cosh(beta f) m_k'  = k cos(k f) - beta tanh(beta f) sin(k f),
+        cosh(beta f) m_k'' = -(k^2 + beta^2 (1 - 2 tanh^2(beta f))) sin(k f)
+                             - 2 beta k tanh(beta f) cos(k f),
+
+    and dX*/dt = sum_k lambda_k c_k exp(-lambda_k (T - t)) m_k, lambda_k the
+    solution's decay rates.  Each sum is one basis product, as in
+    ``_transient_rows``.  ``scale`` is sum_k lambda_k |c_k| exp(-lambda_k (T - t)),
+    the size of the terms that cancel in R.
+    """
+    p = ts.spectrum.params
+    k = ts.spectrum.u[: len(ts.coeffs)] / p.f_bar
+    rates = ts.decay_rates()
+    w = np.exp(-rates * (p.horizon_T - t)) * ts.coeffs
+    kf = np.multiply.outer(f, k)
+    sin, cos = np.sin(kf), np.cos(kf)
+    th = np.tanh(p.beta * f)
+    x0, x1 = sin @ w, cos @ (k * w)
+    dx = x1 - p.beta * th * x0
+    ddx = -(sin @ (k**2 * w)) - p.beta**2 * (1.0 - 2.0 * th**2) * x0 - 2.0 * p.beta * th * x1
+    res = sin @ (rates * w) + 0.5 * p.sigma**2 * ddx + p.beta * th * dx - p.alpha * x0
+    return res / np.cosh(p.beta * f), float(np.sum(rates * np.abs(w)))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    log_alpha=st.floats(-2.0, 3.0),
+    log_f_bar=st.floats(-3.0, 0.0),
+    on_sigma_1=st.booleans(),
+    share=st.floats(0.0, 0.99),
+    log_sigma=st.floats(-1.5, 0.5),
+    decay=st.floats(0.0, 30.0),
+)
+@example(log_alpha=math.log10(200.0), log_f_bar=-1.0, on_sigma_1=False, share=0.0,
+         log_sigma=-1.0, decay=1.0)
+def test_transient_solves_its_equation_on_the_exact_planes(
+    log_alpha, log_f_bar, on_sigma_1, share, log_sigma, decay
+):
+    # Each mode solves the backward equation exactly where the closed form is
+    # exact: on the sigma = 1 plane (beta = share * beta_e, the diffusive regime;
+    # item 1 adds the shifted one) and on the beta = 0 plane (sigma 0.03 to 3).
+    # So R is rounding, a few eps of the terms that cancel (at most 3.9 eps in
+    # 400 random draws).  T - t is decay / lambda_1 (at most T), so the first
+    # mode has not underflowed.  Off both planes R is not small (ROADMAP item 2;
+    # tools/defects.py measures it).
+    base = ModelParams(alpha=10.0**log_alpha, beta=0.0, f_bar=10.0**log_f_bar, horizon_T=1.0,
+                       sigma=1.0 if on_sigma_1 else 10.0**log_sigma)
+    p = dataclasses.replace(base, beta=share * regime_threshold(base) if on_sigma_1 else 0.0)
+    ts = build_transient(p, K=200)
+    t = p.horizon_T - min(p.horizon_T, decay / ts.decay_rates()[0])
+    res, scale = transient_residual(ts, t, uniform_grid(p, 101))
+    assert scale > 0.0
+    assert np.abs(res).max() <= 8.0 * np.finfo(float).eps * scale
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(
     log_f_bar=st.floats(-4.0, 1.0),

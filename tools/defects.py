@@ -6,8 +6,10 @@ Each line gives the ROADMAP item, the case and the defect's measured size,
 so a change that mends one shows it as a before/after pair of lines.  A
 mended defect keeps its line, which then reads its new size.  The package
 is imported from this checkout's ``src/``; references come from numpy and
-80-digit mpmath.  The run is deterministic and takes about a second.  It is
-a tool, not a test: tier-1 keeps criterion 4 as its one expected failure.
+80-digit mpmath.  Item 23's residual is ``tests/test_transient.py``'s own
+helper, so the ledger and the test measure one R.  The run is deterministic
+and takes about a second.  It is a tool, not a test: tier-1 keeps criterion
+4 as its one expected failure.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from pathlib import Path
 import mpmath
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from targetzone import (  # noqa: E402
     DomainError,
@@ -38,6 +41,7 @@ from targetzone import (  # noqa: E402
     stationary_ode_residual,
     uniform_grid,
 )
+from test_transient import full_transient, transient_residual  # noqa: E402
 
 mpmath.mp.dps = 80
 
@@ -87,6 +91,24 @@ def ou() -> None:
     got = ou_asymptotic_spectrum(lam, 0.0, p, 3)
     report(3, "OU spectrum k = 1..3 (lambda 1, mu 0), against classical",
            " ".join(f"{g:.2f}" for g in got) + "  vs  " + " ".join(f"{c:.2f}" for c in classical))
+
+
+def transient_equation() -> None:
+    """Item 23: X*'s residual in its own backward equation, off the sigma = 1 and beta = 0 planes.
+
+    R comes from the closed-form mode derivatives of the test suite's
+    ``transient_residual``; reported over lambda_1 max |X*| at t = T/2
+    (T 0.05, K 200, f_bar 0.1, 201 points in |f| <= 0.9 f_bar).
+    """
+    for case, alpha, beta, sigma in (("s 0.5 (a 0.8, b 1)", 0.8, 1.0, 0.5),
+                                     ("fig7 (a 200, b 5, s 0.1)", 200.0, 5.0, 0.1)):
+        p = ModelParams(alpha=alpha, beta=beta, sigma=sigma, f_bar=0.1, horizon_T=0.05)
+        ts = build_transient(p, K=200)
+        f = np.linspace(-0.9 * p.f_bar, 0.9 * p.f_bar, 201)
+        t = 0.5 * p.horizon_T
+        res, _ = transient_residual(ts, t, f)
+        size = np.abs(res).max() / (ts.decay_rates()[0] * np.abs(full_transient(ts, t, f)).max())
+        report(23, f"X* residual / (lambda_1 max|X*|) at {case}, fb 0.1", f"{size:.3g}")
 
 
 def honeymoon_jump() -> None:
@@ -183,5 +205,5 @@ def mode_tail() -> None:
 
 if __name__ == "__main__":
     for measure in (parity, ode_residual, ou, honeymoon_jump, small_alpha, narrow_band,
-                    contact_cancellation, mode_tail):
+                    contact_cancellation, mode_tail, transient_equation):
         measure()

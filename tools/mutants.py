@@ -92,6 +92,9 @@ MUTANTS = (
     ("omega-scale-without-sqrt2", "spectral.py",
      "return params.sigma / (math.sqrt(2.0) * params.f_bar)",
      "return params.sigma / params.f_bar"),
+    ("omega-scale-without-sigma", "spectral.py",
+     "return params.sigma / (math.sqrt(2.0) * params.f_bar)",
+     "return 1.0 / (math.sqrt(2.0) * params.f_bar)"),
     ("newton-step-taken-outside-bracket", "roots.py",
      "np.where((a < x_new) & (x_new < b), x_new,", "np.where(np.isfinite(x_new), x_new,"),
     ("bracket-side-by-wrong-sign", "roots.py",
@@ -117,6 +120,8 @@ MUTANTS = (
      "if s2 == 0.0 or not math.isfinite", "if not math.isfinite"),
     ("ou-sigma-z-scale-check-off", "params.py",
      " or not math.isfinite(lambda_speed / s2):", ":"),
+    ("ou-band-edge-check-off", "params.py",
+     "if not math.isfinite(lambda_speed * (edge * edge) / s2):", "if False:"),
     ("honeymoon-step-zero", "honeymoon.py",
      "(g(W), math.nan)", "(g(W), 0.0)"),
     ("transient-decay-from-t", "transient.py",
@@ -149,6 +154,12 @@ MUTANTS = (
      'np.errstate(over="raise")', 'np.errstate(over="ignore")'),
     ("derivatives-scalar-conversion-dropped", "stationary.py",
      "return tuple(map(float, out)) if np.ndim(f) == 0 else tuple(out)", "return tuple(out)"),
+    ("exit-drops-stdout-flush", "cli.py",
+     "sys.stdout.flush()", "pass"),
+    ("exit-drops-stderr-flush", "cli.py",
+     "sys.stderr.flush()", "pass"),
+    ("exit-code-always-0", "cli.py",
+     "os._exit(code)", "os._exit(0)"),
 )
 
 
