@@ -16,7 +16,7 @@ import importlib
 __version__ = "0.1.0"
 
 # each after the modules it imports, except the leaf honeymoon
-_PUBLIC = ("errors", "params", "spectral", "honeymoon", "specfun", "stationary", "transient", "mc")
+_PUBLIC = ("errors", "params", "spectral", "honeymoon", "stationary", "transient", "mc")
 _SUBMODULES = {*_PUBLIC, "cli", "roots"}
 
 

@@ -30,6 +30,7 @@ from targetzone import (
     simulate,
 )
 from targetzone.mc import _local_maxima, _reflect_into
+from targetzone.roots import bisect_newton
 
 
 def quiet_config(**kw):
@@ -340,17 +341,57 @@ def reflected_bm_cdf(x, s, r):
     )
 
 
-def ks_to_reflected_bm(sample, s, r):
-    """Kolmogorov-Smirnov distance of ``sample`` to reflected_bm_cdf.
+def tanh_reflected_cdf(x, t, beta, r, n_modes=200):
+    """CDF at x in [-r, r] and time t of dF = beta tanh(beta F) dt + dW reflected at +-r, F_0 = 0.
+
+    With h = cosh(beta y) the process is the h-transform of Brownian motion
+    killed at rate beta^2 / 2, and its zero-flux condition becomes the Robin
+    condition psi'(+-r) = +-beta tanh(beta r) psi (Rogers & Pitman 1981;
+    Carslaw & Jaeger 1959, 3.10).  From 0 only the even modes enter:
+
+        p(t, y) = cosh^2(beta y) / N_0
+                  + e^{-beta^2 t / 2} cosh(beta y) sum_n e^{-k_n^2 t / 2} cos(k_n y) / N_n,
+
+    with u_n = k_n r the root of u tan u = -c in ((n - 1/2) pi, n pi), c =
+    beta r tanh(beta r), N_0 = r + sinh(2 beta r) / (2 beta) and N_n = r +
+    sin(2 u_n) / (2 k_n).  Each cosh(beta y) cos(k_n y) integrates in closed
+    form; the roots solve u sin u + c cos u = 0, the same equation free of
+    tan's poles, by bisect_newton.  Needs beta > 0, and c well above the
+    float noise of sin(n pi) at the n_modes-th bracket.
+    """
+    c = beta * r * math.tanh(beta * r)
+    n = np.arange(1, n_modes + 1)
+
+    def g(u):
+        s, co = np.sin(u), np.cos(u)
+        val = u * s + c * co
+        return val, -val / ((1.0 - c) * s + u * co)
+
+    k = bisect_newton(g, (n - 0.5) * math.pi, n * math.pi) / r
+    norms = r + np.sin(2.0 * k * r) / (2.0 * k)
+
+    def mode_integral(y):  # integral of cosh(beta v) cos(k v) dv from 0 to y
+        return (beta * np.sinh(beta * y) * np.cos(k * y)
+                + k * np.cosh(beta * y) * np.sin(k * y)) / (beta**2 + k**2)
+
+    x = np.asarray(x, dtype=float)[..., None]
+    stationary = ((x + r) / 2.0 + (np.sinh(2.0 * beta * x) + math.sinh(2.0 * beta * r)) / (4.0 * beta)) / (
+        r + math.sinh(2.0 * beta * r) / (2.0 * beta))
+    modes = np.exp(-0.5 * k**2 * t) * (mode_integral(x) + mode_integral(r)) / norms
+    return (stationary + math.exp(-0.5 * beta**2 * t) * modes.sum(axis=-1, keepdims=True))[..., 0]
+
+
+def ks_distance(sample, cdf, r):
+    """Kolmogorov-Smirnov distance of ``sample`` to ``cdf``, a function of an array over [-r, r].
 
     The CDF is interpolated from 1001 nodes over [-r, r] (error below 1e-6);
     a value outside [-r, r] meets CDF 0 or 1 there.
     """
     nodes = np.linspace(-r, r, 1001)
     x = np.sort(sample)
-    cdf = np.interp(x, nodes, [reflected_bm_cdf(v, s, r) for v in nodes])
+    at = np.interp(x, nodes, cdf(nodes))
     n = x.size
-    return max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max())
+    return max((np.arange(1, n + 1) / n - at).max(), (at - np.arange(n) / n).max())
 
 
 # At beta = 0 a pure_reflection path is free Brownian motion folded into
@@ -390,8 +431,52 @@ def test_reflected_bm_columns_match_the_image_series(seed, kappa, dt_over_tau):
     n_steps = ens.times.size - 1
     for j in sorted({n_steps // 4, n_steps} - {0}):
         s = RBM_SIGMA * math.sqrt(ens.times[j])
-        d = ks_to_reflected_bm(ens.fundamentals[:, j], s, r)
+        d = ks_distance(ens.fundamentals[:, j], lambda nodes: [reflected_bm_cdf(v, s, r) for v in nodes], r)
         assert d < RBM_KS_CRIT, (j, d)
+
+
+def test_tanh_reflected_series_limits():
+    r = 0.5
+    for beta in (2.0, 3.0):
+        for t in (1e-3, 0.05, 0.3, 3.0):
+            ends = tanh_reflected_cdf(np.array([-r, r]), t, beta, r)
+            assert np.abs(ends - [0.0, 1.0]).max() < 1e-12, (beta, t)
+        # long after the start: the zero-flux law cosh^2(beta y), integrated by trapezoids
+        y = np.linspace(-r, r, 20_001)
+        dens = np.cosh(beta * y) ** 2
+        cum = np.concatenate(([0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(y))))
+        assert np.abs(tanh_reflected_cdf(y[::2000], 40.0, beta, r) - cum[::2000] / cum[-1]).max() < 1e-8
+    # small beta: the image series of reflected Brownian motion, within O((beta r)^2)
+    x = np.linspace(-r, r, 11)
+    for t in (0.05, 0.3):
+        got = tanh_reflected_cdf(x, t, 1e-3, r)
+        assert np.abs(got - [reflected_bm_cdf(v, math.sqrt(t), r) for v in x]).max() < 1e-6
+
+
+# At sigma = 1 and beta > 0, pure_reflection paths from 0 follow the
+# tanh_reflected_cdf law as dt -> 0; at dt = 1e-3 the scheme's bias sits
+# below the KS noise of 4,000 paths.  One case in each regime at r = f_bar
+# = 0.5: beta 2 (c = 0.76 < 1, diffusive) and beta 3 (c = 1.36, shifted).
+# alpha = 1/dt, which the fundamental's law does not depend on.  Seeds:
+# case i of TANH_CASES (from 1) uses seed 40 + i, fixed before the first
+# run.  Columns at t 0.05 and 0.3, each at the 0.1% Kolmogorov critical
+# value, so correct code fails one of the four with probability under 0.4%.
+TANH_PATHS, TANH_DT = 4_000, 1e-3
+TANH_KS_CRIT = math.sqrt(-math.log(0.001 / 2.0) / (2.0 * TANH_PATHS))
+TANH_CASES = [2.0, 3.0]
+
+
+@pytest.mark.parametrize("seed, beta", [(40 + i, beta) for i, beta in enumerate(TANH_CASES, 1)])
+def test_tanh_reflected_columns_match_the_robin_series(seed, beta):
+    p = ModelParams(alpha=1.0 / TANH_DT, beta=beta, sigma=1.0, f_bar=0.5, horizon_T=0.3)
+    ens = simulate(SimConfig(params=p, n_paths=TANH_PATHS, drift_mode="tanh",
+                             intervention="pure_reflection", seed=seed, kappa=1.0))
+    for t in (0.05, 0.3):
+        j = round(t / TANH_DT)
+        assert ens.times[j] == pytest.approx(t, abs=1e-12)
+        d = ks_distance(ens.fundamentals[:, j],
+                        lambda nodes: tanh_reflected_cdf(nodes, ens.times[j], beta, p.f_bar), p.f_bar)
+        assert d < TANH_KS_CRIT, (t, d)
 
 
 # The pooled window: estimate_density over columns 10..40 of a 40-step run,

@@ -40,13 +40,12 @@ PUBLIC = {
     "mc": ["DensityEstimate", "PathEnsemble", "SimConfig", "classify_shape",
            "estimate_density", "exchange_density", "exchange_paths", "simulate"],
     "params": ["ModelParams", "uniform_grid"],
-    "specfun": ["kummer_1f1"],
     "spectral": ["FeasibilityReport", "Spectrum", "build_spectrum", "eigen_residual",
                  "ou_asymptotic_spectrum", "regime_scan", "regime_threshold",
                  "relaxation_time", "spread_coefficient"],
     "stationary": ["OUStationary", "StationarySolution", "eval_stationary",
-                   "eval_stationary_derivatives", "ou_stationary", "solve_smooth_pasting",
-                   "stationary_ode_residual"],
+                   "eval_stationary_derivatives", "kummer_1f1", "ou_stationary",
+                   "solve_smooth_pasting", "stationary_ode_residual"],
     "transient": ["TransientSolution", "build_transient", "eval_full", "eval_transient",
                   "surface"],
 }

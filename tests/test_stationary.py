@@ -141,6 +141,57 @@ def test_eval_error_within_its_bound_over_the_box(alpha, beta, sigma, f_bar):
     assert_eval_error_within_bound(ModelParams(alpha=alpha, beta=beta, sigma=sigma, f_bar=f_bar))
 
 
+def closed_form_xs(p, f, dps=50):
+    """X_S at each f in ``dps``-digit mpmath where the closed form is exact (sigma = 1 or beta = 0).
+
+    X_S = f + (beta/alpha) tanh(beta f) + a sinh(r f) / cosh(beta f), with
+    r^2 = beta^2 + 2 alpha / sigma^2 and a set by X_S'(f_bar) = 0, both at
+    ``dps`` digits.
+    """
+    with mpmath.workdps(dps):
+        alpha, beta, sigma, fb = (mpmath.mpf(v) for v in (p.alpha, p.beta, p.sigma, p.f_bar))
+        r = mpmath.sqrt(beta**2 + 2 * alpha / sigma**2)
+        ch, sh = mpmath.cosh(beta * fb), mpmath.sinh(beta * fb)
+        a = -(ch**2 + beta**2 / alpha) / (r * mpmath.cosh(r * fb) * ch - beta * mpmath.sinh(r * fb) * sh)
+        xs = (v + beta / alpha * mpmath.tanh(beta * v) + a * mpmath.sinh(r * v) / mpmath.cosh(beta * v)
+              for v in map(mpmath.mpf, np.asarray(f, dtype=float).tolist()))
+        return np.array([float(x) for x in xs])
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    alpha=log_uniform(1e3, 1e5),
+    beta=st.floats(0.0, 60.0),
+    sigma=log_uniform(0.05, 2.0),
+    f_bar=log_uniform(0.02, 0.5),
+    plane=st.sampled_from(["sigma = 1", "beta = 0"]),
+)
+def test_eval_matches_the_50_digit_closed_form_where_it_is_exact(alpha, beta, sigma, f_bar, plane):
+    """eval_stationary against the closed form at 50 digits, on the sigma = 1 and beta = 0 planes.
+
+    The tolerance is _eval_error_bound's 64 eps (1 + (r + |beta|) f_bar) with
+    max |X_S| in place of the size 4|a| + P of the parts, which is what an
+    evaluation free of cancellation meets.  Sub-box: alpha in [1e3, 1e5],
+    with beta in [0, 60] (sigma = 1) or sigma in [0.05, 2] (beta = 0), and
+    f_bar in [0.02, 0.5].  Below alpha ~ 1e3 today's X_S, a particular part
+    minus a homogeneous part that nearly cancels it, falls out of the
+    tolerance on narrow bands: the worst case measured 14 units at alpha
+    1e3, 44 at 500 and 93 at 350.  ROADMAP item 9's cancellation-free form
+    widens the box down to alpha 1e-12.
+    """
+    p = ModelParams(alpha=alpha, beta=beta, sigma=1.0, f_bar=f_bar) if plane == "sigma = 1" else (
+        ModelParams(alpha=alpha, beta=0.0, sigma=sigma, f_bar=f_bar))
+    f = uniform_grid(p, 41)
+    ref = closed_form_xs(p, f)
+    err = np.abs(eval_stationary(solve_smooth_pasting(p), f) - ref).max()
+    growth = 1.0 + (_growth_rate(p) + p.beta) * p.f_bar
+    assert err <= 64.0 * np.finfo(float).eps * growth * np.abs(ref).max(), (p, err / np.abs(ref).max())
+
+
 @pytest.mark.parametrize("p", [
     ModelParams(alpha=0.8, beta=1400.0, sigma=1.0, f_bar=0.5),  # beta f_bar 700, the largest solved
     ModelParams(alpha=200.0, beta=400.0, sigma=0.1, f_bar=0.5),

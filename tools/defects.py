@@ -6,8 +6,10 @@ Each line gives the ROADMAP item, the case and the defect's measured size,
 so a change that mends one shows it as a before/after pair of lines.  A
 mended defect keeps its line, which then reads its new size.  The package
 is imported from this checkout's ``src/``; references come from numpy and
-80-digit mpmath.  Item 23's residual is ``tests/test_transient.py``'s own
-helper, so the ledger and the test measure one R.  The run is deterministic
+80-digit mpmath.  Item 9's X_S reference, item 20's law and item 23's
+residual are the test suite's own helpers (``tests/test_stationary.py``,
+``test_mc.py``, ``test_transient.py``), so the ledger and the tests measure
+one quantity each.  The run is deterministic
 and takes about a second.  It is a tool, not a test: tier-1 keeps criterion
 4 as its one expected failure.
 """
@@ -37,10 +39,13 @@ from targetzone import (  # noqa: E402
     ou_asymptotic_spectrum,
     ou_stationary,
     regime_threshold,
+    simulate,
     solve_smooth_pasting,
     stationary_ode_residual,
     uniform_grid,
 )
+from test_mc import ks_distance, tanh_reflected_cdf  # noqa: E402
+from test_stationary import closed_form_xs  # noqa: E402
 from test_transient import full_transient, transient_residual  # noqa: E402
 
 mpmath.mp.dps = 80
@@ -93,6 +98,23 @@ def ou() -> None:
            " ".join(f"{g:.2f}" for g in got) + "  vs  " + " ".join(f"{c:.2f}" for c in classical))
 
 
+def tanh_law() -> None:
+    """Item 20: the law intervention's fundamental at dt 0.01 against the sigma = 1 closed-form law.
+
+    beta 3, r = f_bar = 0.5 (c = 1.36), 20,000 paths from 0, seed 3; KS
+    distance of the t = 0.3 column to the reflected Robin series, beside
+    its 1% critical value.  The law converges to it as dt -> 0.
+    """
+    p, n_paths = ModelParams(alpha=100.0, beta=3.0, sigma=1.0, f_bar=0.5, horizon_T=0.3), 20_000
+    ens = simulate(SimConfig(params=p, n_paths=n_paths, dt=0.01, drift_mode="tanh", intervention="law",
+                             seed=3, kappa=1.0))
+    t = ens.times[-1]
+    d = ks_distance(ens.fundamentals[:, -1], lambda x: tanh_reflected_cdf(x, t, p.beta, p.f_bar), p.f_bar)
+    crit = math.sqrt(-math.log(0.01 / 2.0) / (2.0 * n_paths))
+    report(20, "law KS at t 0.3, dt 0.01 (b 3, s 1, fb 0.5, c 1.36, 20000 paths)",
+           f"{d:.3g}  (1% critical {crit:.3g})")
+
+
 def transient_equation() -> None:
     """Item 23: X*'s residual in its own backward equation, off the sigma = 1 and beta = 0 planes.
 
@@ -117,21 +139,6 @@ def honeymoon_jump() -> None:
     report(7, "honeymoon W at beta 0 and 1e-9 (a 0.8, s 1, F 0.1)", f"{w0:.5f}  vs  {w1:.5f}")
 
 
-def reference_xs(p: ModelParams, f: np.ndarray) -> np.ndarray:
-    """X_S in 80 digits where the closed form is exact (sigma = 1 or beta = 0).
-
-    X_S = f + (beta/alpha) tanh(beta f) + a sinh(r f) / cosh(beta f), with
-    r^2 = beta^2 + 2 alpha / sigma^2 and a set by X_S'(f_bar) = 0.
-    """
-    alpha, beta, sigma, fb = (mpmath.mpf(v) for v in (p.alpha, p.beta, p.sigma, p.f_bar))
-    r = mpmath.sqrt(beta**2 + 2 * alpha / sigma**2)
-    ch, sh = mpmath.cosh(beta * fb), mpmath.sinh(beta * fb)
-    a = -(ch**2 + beta**2 / alpha) / (r * mpmath.cosh(r * fb) * ch - beta * mpmath.sinh(r * fb) * sh)
-    xs = (v + beta / alpha * mpmath.tanh(beta * v) + a * mpmath.sinh(r * v) / mpmath.cosh(beta * v)
-          for v in map(mpmath.mpf, f))
-    return np.array([float(x) for x in xs])
-
-
 def small_alpha() -> None:
     """Item 9: X_S's cancellation where alpha is small, and its false 'resonant' refusals."""
     corners = ((0.8, 1.0, 0.1), (200.0, 5.0, 0.1), (0.01, 10.0, 0.1), (1e-3, 100.0, 0.01),
@@ -139,7 +146,7 @@ def small_alpha() -> None:
     for alpha, beta, f_bar in corners:
         p = ModelParams(alpha=alpha, beta=beta, sigma=1.0, f_bar=f_bar)
         f = uniform_grid(p, 41)
-        ref = reference_xs(p, f)
+        ref = closed_form_xs(p, f, dps=80)
         err = np.abs(eval_stationary(solve_smooth_pasting(p), f) - ref).max() / np.abs(ref).max()
         report(9, f"X_S error / max|X_S| at a {alpha:g}, b {beta:g}, fb {f_bar:g}", f"{err:.2g}")
     for alpha, beta, f_bar in ((1.0, 2e6, 1e-4), (1e-3, 1e5, 1e-3), (1e-14, 0.0, 0.1)):
@@ -159,7 +166,7 @@ def narrow_band() -> None:
     for f_bar in (1e-8, 1e-12):
         p = ModelParams(alpha=0.8, beta=1.0, sigma=1.0, f_bar=f_bar)
         f = uniform_grid(p, 41)
-        ref = reference_xs(p, f)
+        ref = closed_form_xs(p, f, dps=80)
         err = np.abs(eval_stationary(solve_smooth_pasting(p), f) - ref).max() / np.abs(ref).max()
         report(9, f"X_S error / max|X_S| at a 0.8, b 1, fb {f_bar:g} (narrow band)", f"{err:.2g}")
     verdicts = []
@@ -205,5 +212,5 @@ def mode_tail() -> None:
 
 if __name__ == "__main__":
     for measure in (parity, ode_residual, ou, honeymoon_jump, small_alpha, narrow_band,
-                    contact_cancellation, mode_tail, transient_equation):
+                    contact_cancellation, mode_tail, tanh_law, transient_equation):
         measure()

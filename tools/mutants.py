@@ -27,6 +27,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 CRITERION_4 = "tests/test_acceptance.py::test_criterion_04_relaxation_time_sandwich"
 
+# kummer_1f1's sum, from the Kummer transformation to its e^x factor
+KUMMER_SUM = """a_sum = np.where(xs < 0.0, b - a, a)
+    x_sum = np.abs(xs)
+    total, amp = _taylor_sum(a_sum, float(b), x_sum)
+    redo = amp * 2.3e-16 > 1e-12
+    if redo.any():
+        ld = np.longdouble
+        total[redo] = _taylor_sum(a_sum[redo].astype(ld), ld(b), x_sum[redo].astype(ld))[0]
+    out = np.exp(np.minimum(xs, 0.0)) * total"""
+
 # (name, file under src/targetzone, snippet, replacement)
 MUTANTS = (
     ("heun-drift-as-euler", "mc.py",
@@ -81,8 +91,11 @@ MUTANTS = (
     ("density-window-shifted-one-column", "cli.py",
      "j0, j1 = int(window[0] * n), int(window[1] * n) + 1",
      "j0, j1 = int(window[0] * n) + 1, int(window[1] * n) + 2"),
-    ("kummer-long-double-resum-off", "specfun.py",
+    ("kummer-long-double-resum-off", "stationary.py",
      "if redo.any():", "if False:"),
+    ("kummer-transform-off", "stationary.py",  # the re-sum stays; only the transformation goes
+     KUMMER_SUM, KUMMER_SUM.replace("np.where(xs < 0.0, b - a, a)", "np.full_like(xs, a)")
+     .replace("np.abs(xs)", "xs").replace("np.exp(np.minimum(xs, 0.0)) * total", "total")),
     ("ou-spectrum-takes-fractional-K", "spectral.py",
      '_check_count(K, "spectrum size K", 1)\n    _check_ou(',
      '_check_count(int(K), "spectrum size K", 1)\n    _check_ou('),
